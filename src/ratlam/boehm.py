@@ -7,6 +7,7 @@ operation here takes an explicit budget; running out of fuel is a value
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .nominal import Atom, fresh_atom, fresh_atoms
@@ -165,7 +166,7 @@ def bt_graph(t: FiniteTerm, budget: BtBudget) -> TermGraph | None:
     """
     nodes: dict[int, tuple] = {}
     memo: dict[FiniteTerm, int] = {}
-    counter = iter(range(10**9))
+    counter = itertools.count()
 
     def build(term: FiniteTerm) -> int:
         key = _canonicalize(term)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import deque
 from dataclasses import dataclass
 from math import factorial
 from typing import Callable
@@ -230,7 +231,7 @@ def c_construct(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) 
 
     ids: dict = {}
     nodes: dict[int, tuple] = {}
-    pending: list = []
+    pending: deque = deque()
 
     enumerative = carrier is not None
 
@@ -254,7 +255,7 @@ def c_construct(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) 
         node_id(root, from_step=False)
 
     while pending:
-        e = pending.pop(0)
+        e = pending.popleft()
         nid = ids[e]
         step = conc.step_fn(e)
         match step:
@@ -421,7 +422,7 @@ def orbit_count(g: TermGraph) -> int:
     variables makes them α-equivalent.  The graph is minimized first, so the
     count is over distinct subtrees, not over nodes.
     """
-    from .terms import _bisim_from, minimize
+    from .terms import minimize
 
     gm = minimize(g)
     fvs = gm.fv_map()
@@ -438,17 +439,13 @@ def _same_orbit(g: TermGraph, fvs, n1: int, n2: int) -> bool:
     a1, a2 = sorted(fvs[n1]), sorted(fvs[n2])
     if len(a1) != len(a2):
         return False
-    if _label_kind(g.nodes[n1]) != _label_kind(g.nodes[n2]):
+    if g.nodes[n1][0] != g.nodes[n2][0]:
         return False
     for image in itertools.permutations(a2):
         rho = frozenset(zip(a1, image))
         if _bisim_from(g, n1, g, n2, rho):
             return True
     return False
-
-
-def _label_kind(label: tuple) -> str:
-    return label[0]
 
 
 # ---------------------------------------------------------------------------

@@ -41,28 +41,11 @@ def subst_finite(t: FiniteTerm, v: Atom, s: FiniteTerm) -> FiniteTerm:
                 return t
             if x in fv(s):
                 x2 = fresh_atom(fv(b) | fv(s) | {v})
-                b = _rename_free(b, x, x2)
+                # a swap also renames the binders of b, so x2 cannot be captured
+                b = b.act(swap(x, x2))
                 x = x2
             return Lam(x, subst_finite(b, v, s))
     raise TypeError(f"not a finite term: {t!r}")
-
-
-def _rename_free(t: FiniteTerm, old: Atom, new: Atom) -> FiniteTerm:
-    """Rename free occurrences of old to new (new assumed fresh for t)."""
-    match t:
-        case Var(a):
-            return Var(new) if a == old else t
-        case Bot():
-            return t
-        case App(f, a):
-            return App(_rename_free(f, old, new), _rename_free(a, old, new))
-        case Lam(x, b):
-            if x == old:
-                return t
-            if x == new:
-                # new is fresh for t, so this binder has no occurrences of old below
-                return t
-            return Lam(x, _rename_free(b, old, new))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ one on term graphs, which decides α-equivalence of the infinite unfoldings.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -431,7 +432,7 @@ def _children(label: tuple) -> tuple[int, ...]:
 def graph_of(t: MuTerm) -> TermGraph:
     """One node per constructor; μ nodes are elided into back references."""
     nodes: dict[int, tuple] = {}
-    counter = iter(range(10**9))
+    counter = itertools.count()
 
     def go(t: MuTerm, env: dict[str, int], nid: int | None = None) -> int:
         match t:
@@ -460,14 +461,17 @@ def graph_of(t: MuTerm) -> TermGraph:
 
 
 def print_graph(g: TermGraph) -> str:
-    """Print a graph as a μ-term, one μ per shared or cyclic node."""
+    """Print a graph as a μ-term, one μ per shared or cyclic node.
+
+    O(n) time and memory in the number n of reachable nodes.
+    """
     order = g.reachable()
     indeg: dict[int, int] = {n: 0 for n in order}
     for n in order:
         for c in _children(g.nodes[n]):
             if c in indeg:
                 indeg[c] += 1
-    cyclic = _cyclic_nodes(g, order)
+    cyclic = _cyclic_nodes(g)
     candidates = {n for n in order if indeg[n] > 1 or n in cyclic}
 
     # first pass: find which candidate nodes are actually re-entered
@@ -507,20 +511,74 @@ def print_graph(g: TermGraph) -> str:
     return print_term(go(g.root))
 
 
-def _cyclic_nodes(g: TermGraph, order) -> set[int]:
-    """Nodes that can reach themselves."""
-    reach: dict[int, set[int]] = {n: set(_children(g.nodes[n])) for n in order}
-    changed = True
-    while changed:
-        changed = False
-        for n in order:
-            new = set(reach[n])
-            for c in list(reach[n]):
-                new |= reach.get(c, set())
-            if new != reach[n]:
-                reach[n] = new
-                changed = True
-    return {n for n in order if n in reach[n]}
+def _cyclic_nodes(g: TermGraph) -> set[int]:
+    """Nodes that can reach themselves: those of strongly connected components
+    with more than one node, and self-loops.  O(n) time and memory."""
+    cyclic: set[int] = set()
+    for comp in _sccs(g):
+        if len(comp) > 1 or comp[0] in _children(g.nodes[comp[0]]):
+            cyclic.update(comp)
+    return cyclic
+
+
+_ENTER, _EDGE, _EXIT = range(3)
+
+
+def _dfs(g: TermGraph):
+    """Depth-first search from the root, children in order, on an explicit stack.
+
+    Yields (_ENTER, n, parent) when n is first reached, (_EDGE, n, c) for
+    each edge n → c whose target was reached before, and (_EXIT, n, parent)
+    when every child of n is done; parent is None at the root.
+    """
+    root = g.root
+    seen = {root}
+    yield _ENTER, root, None
+    stack = [(root, iter(_children(g.nodes[root])))]
+    while stack:
+        n, kids = stack[-1]
+        for c in kids:
+            if c in seen:
+                yield _EDGE, n, c
+            else:
+                seen.add(c)
+                yield _ENTER, c, n
+                stack.append((c, iter(_children(g.nodes[c]))))
+                break
+        else:
+            stack.pop()
+            yield _EXIT, n, stack[-1][0] if stack else None
+
+
+def _sccs(g: TermGraph) -> list[list[int]]:
+    """Strongly connected components of the nodes reachable from the root,
+    each listed after every component it reaches (Tarjan 1972).  O(n)."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    path: list[int] = []
+    on_path: set[int] = set()
+    comps: list[list[int]] = []
+    for kind, n, m in _dfs(g):
+        if kind == _ENTER:
+            index[n] = low[n] = len(index)
+            path.append(n)
+            on_path.add(n)
+        elif kind == _EDGE:
+            if m in on_path and index[m] < low[n]:
+                low[n] = index[m]
+        else:
+            if low[n] == index[n]:
+                comp = []
+                while True:
+                    x = path.pop()
+                    on_path.discard(x)
+                    comp.append(x)
+                    if x == n:
+                        break
+                comps.append(comp)
+            if m is not None and low[n] < low[m]:
+                low[m] = low[n]
+    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -662,22 +720,74 @@ def alpha_bisim_renaming(g1: TermGraph, g2: TermGraph, rho: dict[Atom, Atom]) ->
 
 
 def _literal_classes(g: TermGraph) -> dict[int, int]:
-    """Partition refinement: greatest bisimulation under literal label equality."""
-    order = g.reachable()
-    cls = {n: _label_key(g.nodes[n]) for n in order}
-    while True:
-        sig = {
-            n: (cls[n], tuple(cls[c] for c in _children(g.nodes[n]))) for n in order
-        }
-        renum: dict[tuple, int] = {}
-        new = {}
-        for n in order:
-            if sig[n] not in renum:
-                renum[sig[n]] = len(renum)
-            new[n] = renum[sig[n]]
-        if new == cls:
-            return new
-        cls = new
+    """Greatest bisimulation under literal label equality, as node → class.
+
+    Components are visited children first.  A node that reaches no cycle has
+    a finite unfolding and gets its final class at once, hash-consed from its
+    label and its children's classes.  The nodes that reach a cycle start from
+    their labels plus the classes of their finite children, which keeps them
+    apart from every finite class, and blocks are split until the members of
+    each block agree on their children's blocks.  A split moves every part
+    but the largest to a new block and re-examines only the predecessors of
+    moved nodes (Hopcroft's smaller half), so a node moves O(log n) times and
+    the whole costs O(n log n) for the n reachable nodes.
+    """
+    cls: dict[int, int] = {}
+    consed: dict[tuple, int] = {}
+    infinite: list[int] = []
+    for comp in _sccs(g):
+        n = comp[0]
+        label = g.nodes[n]
+        kids = _children(label)
+        if len(comp) == 1 and all(c in cls for c in kids):
+            key = (_label_key(label), tuple([cls[c] for c in kids]))
+            cls[n] = consed.setdefault(key, len(consed))
+        else:
+            infinite.extend(comp)
+
+    block: dict[int, int] = {}
+    members: dict[int, set[int]] = {}
+    preds: dict[int, list[int]] = {n: [] for n in infinite}
+    seeds: dict[tuple, int] = {}
+    for n in infinite:
+        label = g.nodes[n]
+        kids = _children(label)
+        for c in kids:
+            if c in preds:
+                preds[c].append(n)
+        b = seeds.setdefault((_label_key(label), tuple([cls.get(c) for c in kids])),
+                             len(consed) + len(seeds))
+        block[n] = b
+        members.setdefault(b, set()).add(n)
+    fresh = itertools.count(len(consed) + len(seeds))
+    dirty = set(infinite)
+    while dirty:
+        touched: dict[int, dict[tuple, list[int]]] = {}
+        for n in dirty:
+            b = block[n]
+            if len(members[b]) > 1:
+                sig = tuple([block.get(c) for c in _children(g.nodes[n])])
+                touched.setdefault(b, {}).setdefault(sig, []).append(n)
+        moved: list[int] = []
+        for b, groups in touched.items():
+            parts = sorted(groups.values(), key=len)
+            rest = len(members[b]) - sum(map(len, parts))
+            if rest == 0 and len(parts) == 1:
+                continue
+            keep = parts.pop() if len(parts[-1]) > rest else None
+            if keep is not None and rest:
+                # the untouched members are fewer than the largest part: move them
+                parts.append(list(members[b].difference(keep, *parts)))
+            for part in parts:
+                nb = next(fresh)
+                members[nb] = set(part)
+                members[b].difference_update(part)
+                for n in part:
+                    block[n] = nb
+                moved.extend(part)
+        dirty = {p for n in moved for p in preds[n]}
+    cls.update(block)
+    return cls
 
 
 def _label_key(label: tuple):
@@ -693,7 +803,10 @@ def _label_key(label: tuple):
 
 
 def subtree_count(g: TermGraph) -> int:
-    """Number of distinct subtrees of the unfolding, as literal labeled trees."""
+    """Number of distinct subtrees of the unfolding, as literal labeled trees.
+
+    Costs one _literal_classes: O(n log n) in the reachable nodes.
+    """
     return len(set(_literal_classes(g).values()))
 
 

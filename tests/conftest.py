@@ -23,6 +23,7 @@ from ratlam import (
     graph_of,
     parse_term,
 )
+from ratlam.terms import _children, _label_key
 
 # A corpus of small mu-terms.  Every identifier is written as an explicit
 # v<index> so that parsing with independent interners never collapses two
@@ -158,3 +159,45 @@ def random_symbolic_coalgebra(rng: random.Random):
 
 def graph_eq_literal(g1: TermGraph, g2: TermGraph) -> bool:
     return g1.nodes == g2.nodes and g1.root == g2.root
+
+
+# ---------------------------------------------------------------------------
+# Reference algorithms for the graph core: straightforward quadratic versions
+# of ratlam.terms._literal_classes and _cyclic_nodes, for small graphs.
+
+
+def literal_classes_by_rounds(g: TermGraph) -> dict[int, int]:
+    """Round-based partition refinement over all reachable nodes; classes are
+    numbered by first occurrence in preorder."""
+    order = g.reachable()
+    cls = {n: _label_key(g.nodes[n]) for n in order}
+    while True:
+        sig = {
+            n: (cls[n], tuple(cls[c] for c in _children(g.nodes[n]))) for n in order
+        }
+        renum: dict[tuple, int] = {}
+        new = {}
+        for n in order:
+            if sig[n] not in renum:
+                renum[sig[n]] = len(renum)
+            new[n] = renum[sig[n]]
+        if new == cls:
+            return new
+        cls = new
+
+
+def cyclic_nodes_by_closure(g: TermGraph) -> set[int]:
+    """Nodes that can reach themselves, from the transitive closure."""
+    order = g.reachable()
+    reach: dict[int, set[int]] = {n: set(_children(g.nodes[n])) for n in order}
+    changed = True
+    while changed:
+        changed = False
+        for n in order:
+            new = set(reach[n])
+            for c in list(reach[n]):
+                new |= reach.get(c, set())
+            if new != reach[n]:
+                reach[n] = new
+                changed = True
+    return {n for n in order if n in reach[n]}

@@ -1,5 +1,6 @@
 import io
 
+from ratlam import alpha_eq_finite, parse_term
 from ratlam.cli import run
 
 
@@ -83,6 +84,12 @@ def test_bt():
     code, text = _run(["bt", "-d", "4", r"(\x. x x) (\x. x x)"])
     assert code == 0
     assert text == "_|_\n"
+
+
+def test_bt_does_not_capture():
+    code, text = _run(["bt", "-d", "8", "-f", "64", r"(\v0. \v1. \v2. v0 v1) v1"])
+    assert code == 0
+    assert alpha_eq_finite(parse_term(text), parse_term(r"\v5. \v6. v1 v5"))
 
 
 def test_bt_requires_finite_term():

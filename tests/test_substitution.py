@@ -49,6 +49,14 @@ def test_subst_finite_capture_renames_to_least_fresh():
     assert got == Lam(Atom(2), Var(Atom(1)))
 
 
+def test_subst_finite_renames_past_inner_binders():
+    # (\v1. \v2. v0 v1)[v0 := v1]: the fresh name v2 is also an inner binder
+    t = parse_term(r"\v1. \v2. v0 v1")
+    got = subst_finite(t, Atom(0), Var(Atom(1)))
+    assert alpha_eq_finite(got, parse_term(r"\v5. \v6. v1 v5"))
+    assert not alpha_eq_finite(got, parse_term(r"\v2. \v2. v1 v1"))
+
+
 def test_subst_finite_respects_alpha():
     from ratlam import Perm
 

@@ -17,18 +17,26 @@ from ratlam import (
     Var,
     alpha_bisim,
     alpha_eq_finite,
+    gen_rsigma,
     graph_of,
     minimize,
     parse_term,
     print_graph,
     print_term,
+    rsigma_count,
     subtree_count,
     truncate,
     unfold_muterm,
 )
-from ratlam.terms import alpha_bisim_renaming
+from ratlam.terms import _cyclic_nodes, _literal_classes, alpha_bisim_renaming
 
-from conftest import CORPUS, random_perm, random_term_graph
+from conftest import (
+    CORPUS,
+    cyclic_nodes_by_closure,
+    literal_classes_by_rounds,
+    random_perm,
+    random_term_graph,
+)
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -273,3 +281,62 @@ def test_minimize():
         assert len(m.reachable()) == subtree_count(g) == subtree_count(m)
         for d in (4, 10):
             assert truncate(m, d) == truncate(g, d)
+
+
+def _glued(g: TermGraph) -> TermGraph:
+    """Two disjoint copies of g under one application root: every cycle of g
+    has a bisimilar twin in another strongly connected component."""
+    off = max(g.nodes) + 1
+    nodes = dict(g.nodes)
+    for n, label in g.nodes.items():
+        match label:
+            case ("lam", x, b):
+                nodes[n + off] = ("lam", x, b + off)
+            case ("app", f, a):
+                nodes[n + off] = ("app", f + off, a + off)
+            case _:
+                nodes[n + off] = label
+    nodes[2 * off] = ("app", g.root, g.root + off)
+    return TermGraph(nodes, 2 * off)
+
+
+def test_graph_core_agrees_with_reference_algorithms():
+    # equal cyclic sets mean print_graph places every mu as before
+    rng = random.Random(67)
+    for _ in range(400):
+        g = random_term_graph(rng, 12)
+        for h in (g, _glued(g)):
+            order = h.reachable()
+            cls = _literal_classes(h)
+            numbered: dict[int, int] = {}
+            got = {n: numbered.setdefault(cls[n], len(numbered)) for n in order}
+            assert got == literal_classes_by_rounds(h)
+            assert _cyclic_nodes(h) == cyclic_nodes_by_closure(h)
+
+
+def test_subtree_count_rsigma_4():
+    assert subtree_count(gen_rsigma(4)) == rsigma_count(4)
+
+
+def _chain(n: int) -> TermGraph:
+    """An application spine of n - 1 nodes whose arguments are one shared leaf."""
+    nodes = {i: ("app", i + 1, n - 1) for i in range(n - 2)}
+    nodes[n - 2] = ("app", n - 1, n - 1)
+    nodes[n - 1] = ("var", Atom(0))
+    return TermGraph(nodes, 0)
+
+
+def _ring(k: int) -> TermGraph:
+    """k applications in one cycle, each with its own leaf; one leaf differs,
+    so no two ring nodes have equal unfoldings."""
+    nodes = {i: ("app", k + i, (i + 1) % k) for i in range(k)}
+    nodes.update({k + i: ("var", Atom(int(i == 0))) for i in range(k)})
+    return TermGraph(nodes, 0)
+
+
+def test_graph_core_scales_to_10k_nodes():
+    chain, ring = _chain(10_000), _ring(5_000)
+    assert subtree_count(chain) == len(minimize(chain).nodes) == 10_000
+    assert _cyclic_nodes(chain) == set()
+    assert subtree_count(ring) == len(minimize(ring).nodes) == 5_002
+    assert _cyclic_nodes(ring) == set(range(5_000))
