@@ -182,23 +182,13 @@ def bt_graph(t: FiniteTerm, budget: BtBudget) -> TermGraph | None:
                 raise _StateBudgetExceeded  # honest unknown, not a ⊥ claim
             nodes[nid] = ("bot",)
             return nid
-        # emit the hnf skeleton; only the root of the skeleton is the state node
-        spine: int | None = None
-        cur = next(counter)
-        nodes[cur] = ("var", res.head)
-        for arg in res.args:
-            child = build(arg)
-            new = next(counter)
-            nodes[new] = ("app", cur, child)
-            cur = new
-        for x in reversed(res.binders):
-            new = next(counter)
-            nodes[new] = ("lam", x, cur)
-            cur = new
-        # alias the reserved state id to the skeleton root
-        nodes[nid] = nodes[cur]
-        del nodes[cur]
-        _repoint(nodes, cur, nid)
+        # emit the hnf skeleton inside out; its outermost node is the state node
+        ids = [next(counter) for _ in range(len(res.args) + len(res.binders))] + [nid]
+        nodes[ids[0]] = ("var", res.head)
+        for i, arg in enumerate(res.args, 1):
+            nodes[ids[i]] = ("app", ids[i - 1], build(arg))
+        for i, x in enumerate(reversed(res.binders), len(res.args) + 1):
+            nodes[ids[i]] = ("lam", x, ids[i - 1])
         return nid
 
     try:
@@ -206,16 +196,6 @@ def bt_graph(t: FiniteTerm, budget: BtBudget) -> TermGraph | None:
     except _StateBudgetExceeded:
         return None
     return TermGraph(nodes, root)
-
-
-def _repoint(nodes: dict[int, tuple], old: int, new: int):
-    for nid, label in list(nodes.items()):
-        match label:
-            case ("lam", x, b) if b == old:
-                nodes[nid] = ("lam", x, new)
-            case ("app", f, a):
-                if f == old or a == old:
-                    nodes[nid] = ("app", new if f == old else f, new if a == old else a)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,18 @@ from .orbits import (
     enumerate_support_in,
     validate_orbit_set,
 )
-from .terms import BOT, App, Bot, FiniteTerm, Lam, TermGraph, Var
+from .terms import (
+    BOT,
+    App,
+    Bot,
+    FiniteTerm,
+    Lam,
+    TermGraph,
+    Var,
+    _bisim_from,
+    _children,
+    minimize,
+)
 
 # FRESH marker in step views
 FRESH = None
@@ -421,31 +432,61 @@ def orbit_count(g: TermGraph) -> int:
     Two subtrees are in the same orbit iff some renaming of their free
     variables makes them α-equivalent.  The graph is minimized first, so the
     count is over distinct subtrees, not over nodes.
-    """
-    from .terms import minimize
 
+    One bisimulation per candidate pair suffices.  `_free_order` lists a
+    subtree's free names by position in its unfolding, which α-renaming keeps
+    and a renaming π carries along, so π·t1 =α t2 forces π to map the order of
+    t1 onto the order of t2: that is the only correspondence to try, instead
+    of all k! bijections of k free names.  The cost is one `_free_order` per
+    node and one `_bisim_from` per (node, representative) pair of the same
+    label kind and arity.
+    """
     gm = minimize(g)
     fvs = gm.fv_map()
-    reps: list[int] = []
+    reps: list[tuple[int, tuple[Atom, ...]]] = []
     for n in gm.reachable():
-        if not any(_same_orbit(gm, fvs, n, r) for r in reps):
-            reps.append(n)
+        order = _free_order(gm, fvs, n)
+        if not any(_same_orbit(gm, n, order, r, rorder) for r, rorder in reps):
+            reps.append((n, order))
     return len(reps)
 
 
-def _same_orbit(g: TermGraph, fvs, n1: int, n2: int) -> bool:
-    from .terms import _bisim_from
+def _free_order(g: TermGraph, fvs, n: int) -> tuple[Atom, ...]:
+    """The free names of n's unfolding in order of first free occurrence,
+    breadth first with children in order.
 
-    a1, a2 = sorted(fvs[n1]), sorted(fvs[n2])
-    if len(a1) != len(a2):
+    The search runs on states (node m, the names of fv(n) ∩ fv(m) not bound
+    on the path), each visited once: two positions with the same state have
+    the same free occurrences below them, and the first of the two in
+    breadth-first order reaches each of them first.  Intersecting with fv of
+    each node on the way drops a name at its binder, since a λ's binder is
+    not free in the λ.  A state whose name set is empty can add nothing and
+    is dropped, so every var state dequeued is a free occurrence.  The search
+    stops once every free name is found.
+    """
+    found: dict[Atom, None] = {}
+    seen = {(n, fvs[n])}
+    queue = deque(seen)
+    while queue and len(found) < len(fvs[n]):
+        m, free = queue.popleft()
+        label = g.nodes[m]
+        if label[0] == "var":
+            found[label[1]] = None
+        for c in _children(label):
+            state = (c, free & fvs[c])
+            if state[1] and state not in seen:
+                seen.add(state)
+                queue.append(state)
+    return tuple(found)
+
+
+def _same_orbit(g: TermGraph, n1: int, order1: tuple[Atom, ...],
+                n2: int, order2: tuple[Atom, ...]) -> bool:
+    if len(order1) != len(order2):
         return False
     if g.nodes[n1][0] != g.nodes[n2][0]:
         return False
-    for image in itertools.permutations(a2):
-        rho = frozenset(zip(a1, image))
-        if _bisim_from(g, n1, g, n2, rho):
-            return True
-    return False
+    return _bisim_from(g, n1, g, n2, frozenset(zip(order1, order2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared corpus and random generators for the test suite."""
 
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from ratlam import (
     graph_of,
     parse_term,
 )
-from ratlam.terms import _children, _label_key
+from ratlam.terms import _bisim_from, _children, _label_key, minimize
 
 # A corpus of small mu-terms.  Every identifier is written as an explicit
 # v<index> so that parsing with independent interners never collapses two
@@ -91,10 +92,10 @@ def random_finite_term(rng: random.Random, depth: int = 4):
     return App(random_finite_term(rng, depth - 1), random_finite_term(rng, depth - 1))
 
 
-def random_term_graph(rng: random.Random, max_nodes: int = 5) -> TermGraph:
+def random_term_graph(rng: random.Random, max_nodes: int = 5, natoms: int = 4) -> TermGraph:
     """A random bottom-free term graph; cycles are fine since Var nodes are leaves."""
     n = rng.randint(1, max_nodes)
-    atoms = [Atom(i) for i in range(4)]
+    atoms = [Atom(i) for i in range(natoms)]
     nodes = {}
     for i in range(n):
         kind = rng.random()
@@ -201,3 +202,31 @@ def cyclic_nodes_by_closure(g: TermGraph) -> set[int]:
                 reach[n] = new
                 changed = True
     return {n for n in order if n in reach[n]}
+
+
+# ---------------------------------------------------------------------------
+# Reference for ratlam.coalgebra.orbit_count: the k! renaming search.
+
+
+def orbit_count_by_search(g: TermGraph) -> int:
+    """Orbits among the distinct subtrees, trying every bijection between the
+    sorted free names of a candidate and those of each representative."""
+    gm = minimize(g)
+    fvs = gm.fv_map()
+    reps: list[int] = []
+    for n in gm.reachable():
+        if not any(_same_orbit_by_search(gm, fvs, n, r) for r in reps):
+            reps.append(n)
+    return len(reps)
+
+
+def _same_orbit_by_search(g: TermGraph, fvs, n1: int, n2: int) -> bool:
+    a1, a2 = sorted(fvs[n1]), sorted(fvs[n2])
+    if len(a1) != len(a2):
+        return False
+    if g.nodes[n1][0] != g.nodes[n2][0]:
+        return False
+    return any(
+        _bisim_from(g, n1, g, n2, frozenset(zip(a1, image)))
+        for image in itertools.permutations(a2)
+    )

@@ -4,6 +4,7 @@ import pytest
 
 from ratlam import (
     AbsStep,
+    App,
     AppStep,
     Atom,
     BOT,
@@ -17,6 +18,8 @@ from ratlam import (
     OrbitSet,
     SupportTooLarge,
     SymbolicCoalgebra,
+    TermGraph,
+    Var,
     VarStep,
     alpha_bisim,
     alpha_eq_finite,
@@ -38,9 +41,18 @@ from ratlam import (
     truncate,
     validate_coalgebra,
 )
-from ratlam.coalgebra import ConcreteStepAbs, ConcreteStepApp, ConcreteStepVar
+from ratlam import coalgebra
+from ratlam.coalgebra import ConcreteStepAbs, ConcreteStepApp, ConcreteStepVar, _free_order
+from ratlam.terms import _bisim_from
 
-from conftest import CORPUS, random_symbolic_coalgebra
+from conftest import (
+    CORPUS,
+    orbit_count_by_search,
+    random_finite_term,
+    random_perm,
+    random_symbolic_coalgebra,
+    random_term_graph,
+)
 
 S2 = frozenset({(0, 1), (1, 0)})
 
@@ -253,6 +265,108 @@ def test_orbit_count_examples():
     assert orbit_count(graph_of(parse_term("v0 v1"))) == 2
     assert orbit_count(gen_rsigma(1)) == 3
     assert orbit_count(gen_rsigma(2)) == 4
+    assert orbit_count(gen_rsigma(3)) == 5
+
+
+def _cycle(k: int) -> TermGraph:
+    """k nodes c_i = v_i c_(i+1), closed into a cycle: all c_i share one orbit."""
+    nodes = {i: ("app", k + i, (i + 1) % k) for i in range(k)}
+    nodes.update({k + i: ("var", Atom(i + 1)) for i in range(k)})
+    return TermGraph(nodes, 0)
+
+
+def _spine(k: int) -> TermGraph:
+    """v1 v2 … vk: the k-1 applications have k-1 different arities."""
+    t = Var(Atom(1))
+    for i in range(2, k + 1):
+        t = App(t, Var(Atom(i)))
+    return graph_of(t)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_orbit_count_cycles_and_spines(k):
+    assert orbit_count(_cycle(k)) == 2
+    assert orbit_count(_spine(k)) == k
+
+
+def test_orbit_count_matches_renaming_search():
+    rng = random.Random(4)
+    for _ in range(300):
+        g = random_term_graph(rng, max_nodes=14, natoms=rng.randint(2, 5))
+        want = orbit_count_by_search(g)
+        assert orbit_count(g) == want
+        assert orbit_count(g.act(random_perm(rng))) == want
+
+
+def test_orbit_count_work_on_a_cycle(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _bisim_from(*args)
+
+    monkeypatch.setattr(coalgebra, "_bisim_from", counted)
+    g = _cycle(8)
+    assert orbit_count(g) == 2
+    # at most one bisimulation per (distinct subtree, representative) pair,
+    # where trying all 8! renamings per pair takes tens of thousands
+    assert 0 < len(calls) <= subtree_count(g) * 2
+
+
+def _order_at_root(g: TermGraph) -> tuple[Atom, ...]:
+    return _free_order(g, g.fv_map(), g.root)
+
+
+def test_free_order_skips_bound_occurrences():
+    # the bound v0 is met before any free name; sorting would give (v0, v1)
+    assert _order_at_root(graph_of(parse_term("(\\v0. v0) (v1 v0)"))) == (Atom(1), Atom(0))
+    assert _order_at_root(graph_of(parse_term("mu r. \\v0. v0 (v1 #r)"))) == (Atom(1),)
+    assert _order_at_root(graph_of(parse_term("\\v0. \\v1. v0"))) == ()
+
+
+def test_free_order_is_equivariant():
+    rng = random.Random(5)
+    for _ in range(200):
+        g = random_term_graph(rng, max_nodes=14, natoms=rng.randint(2, 5))
+        p = random_perm(rng)
+        gp = g.act(p)
+        fvs, fvs_p = g.fv_map(), gp.fv_map()
+        for n in g.reachable():
+            order = _free_order(g, fvs, n)
+            assert set(order) == fvs[n]
+            assert _free_order(gp, fvs_p, n) == tuple(p(a) for a in order)
+
+
+def _rename_binders(t, names, env=None):
+    env = env or {}
+    match t:
+        case Var(a):
+            return Var(env.get(a, a))
+        case Lam(x, b):
+            y = next(names)
+            return Lam(y, _rename_binders(b, names, {**env, x: y}))
+        case App(f, a):
+            return App(_rename_binders(f, names, env), _rename_binders(a, names, env))
+    return t
+
+
+def test_free_order_is_alpha_invariant():
+    rng = random.Random(6)
+    for _ in range(300):
+        t = random_finite_term(rng, depth=rng.randint(2, 6))
+        t2 = _rename_binders(t, (Atom(i) for i in range(10, 100)))
+        assert alpha_eq_finite(t, t2)
+        assert _order_at_root(graph_of(t)) == _order_at_root(graph_of(t2))
+    pairs = [
+        ("mu r. \\v0. v0 (v1 (v2 #r))", "mu r. \\v5. v5 (v1 (v2 #r))"),
+        ("\\v0. (\\v1. v0 v1) (v3 v2)", "\\v5. (\\v0. v5 v0) (v3 v2)"),
+        ("mu a. \\v0. mu b. \\v1. (v0 (v2 #a)) (v1 (v3 #b))",
+         "mu a. \\v6. mu b. \\v5. (v6 (v2 #a)) (v5 (v3 #b))"),
+    ]
+    for s1, s2 in pairs:
+        g1, g2 = graph_of(parse_term(s1)), graph_of(parse_term(s2))
+        assert alpha_bisim(g1, g2)
+        assert _order_at_root(g1) == _order_at_root(g2)
 
 
 # ---------------------------------------------------------------------------
