@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .nominal import Atom, fresh_atom, fresh_atoms
+from .nominal import Atom, fresh_atom
 from .substitution import subst_finite
 from .terms import BOT, App, Bot, FiniteTerm, Lam, TermGraph, Var, fv
 

@@ -8,7 +8,7 @@ computing the (finite) support of a value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -70,9 +70,6 @@ class Perm:
         atoms = self.moved | other.moved
         return Perm({a: self(other(a)) for a in atoms})
 
-    def __mul__(self, other: "Perm") -> "Perm":
-        return self.compose(other)
-
     def cycles(self) -> list[tuple[Atom, ...]]:
         seen: set[Atom] = set()
         out = []
@@ -106,23 +103,6 @@ def swap(a: Atom, b: Atom) -> Perm:
     if a == b:
         return IDENTITY
     return Perm({a: b, b: a})
-
-
-def perm_compose(p: Perm, q: Perm) -> Perm:
-    return p.compose(q)
-
-
-@runtime_checkable
-class Supported(Protocol):
-    """A value with a permutation action and a finite support."""
-
-    def act(self, p: Perm) -> "Supported": ...
-
-    def support(self) -> frozenset[Atom]: ...
-
-
-def is_fresh(a: Atom, x: Supported) -> bool:
-    return a not in x.support()
 
 
 def fresh_atom(avoid: Iterable[Atom]) -> Atom:

@@ -148,10 +148,6 @@ class OrbitElement:
         return f"OrbitElement<{self}>"
 
 
-def elem_eq(e1: OrbitElement, e2: OrbitElement) -> bool:
-    return e1 == e2
-
-
 def enumerate_support_in(s: OrbitSet, atoms) -> list[OrbitElement]:
     """All elements supported inside the given atom pool, duplicate-free.
 

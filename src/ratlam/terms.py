@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .nominal import Atom, Perm, abstraction_eq, fresh_atom, swap
+from .nominal import Atom, Perm, abstraction_eq
 
 # ---------------------------------------------------------------------------
 # Term syntax
@@ -391,14 +391,6 @@ class TermGraph:
     def support(self) -> frozenset[Atom]:
         return self.fv_map()[self.root]
 
-    def all_atoms(self) -> frozenset[Atom]:
-        out: set[Atom] = set()
-        for label in self.nodes.values():
-            match label:
-                case ("var", a) | ("lam", a, _):
-                    out.add(a)
-        return frozenset(out)
-
     def act(self, p: Perm) -> "TermGraph":
         """Rename every atom occurrence, binders and leaves alike."""
         def rn(label):
@@ -461,35 +453,26 @@ def graph_of(t: MuTerm) -> TermGraph:
 
 
 def print_graph(g: TermGraph) -> str:
-    """Print a graph as a μ-term, one μ per shared or cyclic node.
+    """Print a graph as a μ-term.
 
-    O(n) time and memory in the number n of reachable nodes.
+    One depth-first search from the root, children in order, finds the nodes
+    it reaches a second time.  Each gets one μ at its first visit, labelled
+    r0, r1, ... in preorder, and a #ref at every later one.  A #ref reached
+    by a back edge, to a node still on the search path, lies inside its μ.
+    One reached by a forward or cross edge, to a node in an earlier sibling
+    branch that the search has finished, lies outside it, and the term does
+    not parse back.  O(n) time and memory in the n reachable nodes.
     """
-    order = g.reachable()
-    indeg: dict[int, int] = {n: 0 for n in order}
-    for n in order:
-        for c in _children(g.nodes[n]):
-            if c in indeg:
-                indeg[c] += 1
-    cyclic = _cyclic_nodes(g)
-    candidates = {n for n in order if indeg[n] > 1 or n in cyclic}
+    order: list[int] = []
+    shared: set[int] = set()
+    for kind, n, m in _dfs(g):
+        if kind == _ENTER:
+            order.append(n)
+        elif kind == _EDGE:
+            shared.add(m)
+    labels = {n: f"r{i}" for i, n in enumerate(n for n in order if n in shared)}
 
-    # first pass: find which candidate nodes are actually re-entered
-    used: set[int] = set()
     emitted: set[int] = set()
-
-    def scan(n: int):
-        if n in candidates and n in emitted:
-            used.add(n)
-            return
-        emitted.add(n)
-        for c in _children(g.nodes[n]):
-            scan(c)
-
-    scan(g.root)
-    labels = {n: f"r{i}" for i, n in enumerate(n for n in order if n in used)}
-
-    emitted = set()
 
     def go(n: int) -> MuTerm:
         if n in labels and n in emitted:
@@ -509,16 +492,6 @@ def print_graph(g: TermGraph) -> str:
         return body
 
     return print_term(go(g.root))
-
-
-def _cyclic_nodes(g: TermGraph) -> set[int]:
-    """Nodes that can reach themselves: those of strongly connected components
-    with more than one node, and self-loops.  O(n) time and memory."""
-    cyclic: set[int] = set()
-    for comp in _sccs(g):
-        if len(comp) > 1 or comp[0] in _children(g.nodes[comp[0]]):
-            cyclic.update(comp)
-    return cyclic
 
 
 _ENTER, _EDGE, _EXIT = range(3)
@@ -585,47 +558,32 @@ def _sccs(g: TermGraph) -> list[list[int]]:
 # Truncation
 
 
-def truncate(g: TermGraph | FiniteTerm, depth: int) -> FiniteTerm:
+def truncate(g: TermGraph, depth: int) -> FiniteTerm:
     """Cut the unfolding at the given depth, replacing cut subtrees by ⊥.
 
     The root sits at depth 0, so truncate(·, 0) is ⊥.
     """
-    if isinstance(g, TermGraph):
-        memo: dict[tuple[int, int], FiniteTerm] = {}
+    memo: dict[tuple[int, int], FiniteTerm] = {}
 
-        def go(n: int, d: int) -> FiniteTerm:
-            if d <= 0:
-                return BOT
-            key = (n, d)
-            if key in memo:
-                return memo[key]
-            match g.nodes[n]:
-                case ("var", a):
-                    out: FiniteTerm = Var(a)
-                case ("bot",):
-                    out = BOT
-                case ("lam", x, b):
-                    out = Lam(x, go(b, d - 1))
-                case ("app", f, a):
-                    out = App(go(f, d - 1), go(a, d - 1))
-            memo[key] = out
-            return out
-
-        return go(g.root, depth)
-
-    def got(t: FiniteTerm, d: int) -> FiniteTerm:
+    def go(n: int, d: int) -> FiniteTerm:
         if d <= 0:
             return BOT
-        match t:
-            case Var(_) | Bot():
-                return t
-            case Lam(x, b):
-                return Lam(x, got(b, d - 1))
-            case App(f, a):
-                return App(got(f, d - 1), got(a, d - 1))
-        raise TypeError(f"truncate expects a finite term or graph, got {t!r}")
+        key = (n, d)
+        if key in memo:
+            return memo[key]
+        match g.nodes[n]:
+            case ("var", a):
+                out: FiniteTerm = Var(a)
+            case ("bot",):
+                out = BOT
+            case ("lam", x, b):
+                out = Lam(x, go(b, d - 1))
+            case ("app", f, a):
+                out = App(go(f, d - 1), go(a, d - 1))
+        memo[key] = out
+        return out
 
-    return got(g, depth)
+    return go(g.root, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -708,11 +666,6 @@ def _bisim_from(g1: TermGraph, n1: int, g2: TermGraph, n2: int,
 
 def _restrict(rho: frozenset[tuple[Atom, Atom]], dom: frozenset[Atom]):
     return frozenset((a, b) for a, b in rho if a in dom)
-
-
-def alpha_bisim_renaming(g1: TermGraph, g2: TermGraph, rho: dict[Atom, Atom]) -> bool:
-    """α-bisimulation with an explicit free-variable correspondence."""
-    return _bisim_from(g1, g1.root, g2, g2.root, frozenset(rho.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,19 @@ from ratlam import (
     BOT,
     FRESH,
     Lam,
+    Mu,
     OrbitElement,
     OrbitSchema,
     OrbitSet,
     Perm,
+    Ref,
     SymbolicCoalgebra,
     TermGraph,
     Var,
     VarStep,
     graph_of,
     parse_term,
+    print_term,
 )
 from ratlam.terms import _bisim_from, _children, _label_key, minimize
 
@@ -163,8 +166,9 @@ def graph_eq_literal(g1: TermGraph, g2: TermGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reference algorithms for the graph core: straightforward quadratic versions
-# of ratlam.terms._literal_classes and _cyclic_nodes, for small graphs.
+# Reference algorithms for the graph core, for small graphs: round-based
+# refinement for ratlam.terms._literal_classes, and a print_graph that places
+# its μs by in-degrees, the transitive closure and a recursive scan.
 
 
 def literal_classes_by_rounds(g: TermGraph) -> dict[int, int]:
@@ -202,6 +206,54 @@ def cyclic_nodes_by_closure(g: TermGraph) -> set[int]:
                 reach[n] = new
                 changed = True
     return {n for n in order if n in reach[n]}
+
+
+def print_graph_by_scan(g: TermGraph) -> str:
+    """ratlam.terms.print_graph, with a μ on each shared or cyclic node that a
+    first printing pass re-enters."""
+    order = g.reachable()
+    indeg: dict[int, int] = {n: 0 for n in order}
+    for n in order:
+        for c in _children(g.nodes[n]):
+            if c in indeg:
+                indeg[c] += 1
+    cyclic = cyclic_nodes_by_closure(g)
+    candidates = {n for n in order if indeg[n] > 1 or n in cyclic}
+
+    used: set[int] = set()
+    emitted: set[int] = set()
+
+    def scan(n: int):
+        if n in candidates and n in emitted:
+            used.add(n)
+            return
+        emitted.add(n)
+        for c in _children(g.nodes[n]):
+            scan(c)
+
+    scan(g.root)
+    labels = {n: f"r{i}" for i, n in enumerate(n for n in order if n in used)}
+
+    emitted = set()
+
+    def go(n: int):
+        if n in labels and n in emitted:
+            return Ref(labels[n])
+        emitted.add(n)
+        match g.nodes[n]:
+            case ("var", a):
+                body = Var(a)
+            case ("bot",):
+                body = BOT
+            case ("lam", x, b):
+                body = Lam(x, go(b))
+            case ("app", f, a):
+                body = App(go(f), go(a))
+        if n in labels:
+            return Mu(labels[n], body)
+        return body
+
+    return print_term(go(g.root))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from ratlam import (
     bt_graph,
     bt_truncate,
     c_construct,
-    elem_eq,
     enumerate_support_in,
     count_same_support,
     gen_omega,
@@ -275,7 +274,7 @@ def test_7_nominal_laws():
         brute = []
         for t in itertools.permutations(pool, schema.arity):
             e = OrbitElement(schema, t)
-            if not any(elem_eq(e, d) for d in brute):
+            if not any(e == d for d in brute):
                 brute.append(e)
         if len(out) != len(brute):
             failures.append("bounded enumeration")

@@ -134,7 +134,7 @@ def test_bt_truncate_depth_monotonicity():
         for d in range(1, 7):
             shallow = bt_truncate(t, BtBudget(depth=d))
             deep = bt_truncate(t, BtBudget(depth=d + 3))
-            assert truncate(deep, d) == shallow
+            assert truncate(graph_of(deep), d) == shallow
 
 
 # ---------------------------------------------------------------------------

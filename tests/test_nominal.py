@@ -14,8 +14,6 @@ from ratlam import (
     fresh_atom,
     fresh_atoms,
     fv,
-    is_fresh,
-    perm_compose,
     swap,
 )
 from ratlam.nominal import IDENTITY
@@ -56,7 +54,7 @@ def test_swap_basics():
 def test_compose_worked_example():
     # swap(v0,v1) after swap(v1,v2) sends v2 to v0
     a, b, c = Atom(0), Atom(1), Atom(2)
-    p = perm_compose(swap(a, b), swap(b, c))
+    p = swap(a, b).compose(swap(b, c))
     assert p(c) == a
     assert p(a) == b
     assert p(b) == c
@@ -100,9 +98,9 @@ def test_fresh_atom_is_least_unused():
 
 def test_is_fresh():
     x, y = Atom(0), Atom(1)
-    assert is_fresh(Atom(5), App(Var(x), Var(y)))
-    assert not is_fresh(x, Var(x))
-    assert is_fresh(x, Lam(x, Var(x)))  # bound occurrence not in support
+    assert Atom(5) not in App(Var(x), Var(y)).support()
+    assert x in Var(x).support()
+    assert x not in Lam(x, Var(x)).support()  # bound occurrence not in support
 
 
 def test_abstraction_eq_examples():

@@ -12,7 +12,6 @@ from ratlam import (
     OrbitSchema,
     OrbitSet,
     count_same_support,
-    elem_eq,
     enumerate_support_in,
     validate_orbit_set,
 )
@@ -52,16 +51,14 @@ def test_element_requires_injective_tuple_of_right_arity():
 def test_elem_eq_examples():
     unordered = OrbitSchema("u", 2, S2)
     ordered = OrbitSchema("o", 2)
-    assert elem_eq(
-        OrbitElement(unordered, (Atom(0), Atom(1))),
-        OrbitElement(unordered, (Atom(1), Atom(0))),
+    assert OrbitElement(unordered, (Atom(0), Atom(1))) == OrbitElement(
+        unordered, (Atom(1), Atom(0))
     )
-    assert not elem_eq(
-        OrbitElement(ordered, (Atom(0), Atom(1))),
-        OrbitElement(ordered, (Atom(1), Atom(0))),
+    assert OrbitElement(ordered, (Atom(0), Atom(1))) != OrbitElement(
+        ordered, (Atom(1), Atom(0))
     )
     e = OrbitElement(ordered, (Atom(3), Atom(5)))
-    assert elem_eq(e, e)
+    assert e == e
     # different schemas never compare equal
     assert OrbitElement(ordered, (Atom(0), Atom(1))) != OrbitElement(
         OrbitSchema("o2", 2), (Atom(0), Atom(1))
@@ -150,15 +147,15 @@ def test_enumeration_matches_brute_force():
         w = rng.randint(0, 4)
         pool = sorted(rng.sample([Atom(i) for i in range(6)], w))
         out = enumerate_support_in(OrbitSet((schema,)), pool)
-        # brute force: every injective tuple, deduplicated by pairwise elem_eq
+        # brute force: every injective tuple, deduplicated by pairwise ==
         distinct = []
         for t in itertools.permutations(pool, schema.arity):
             e = OrbitElement(schema, t)
-            if not any(elem_eq(e, d) for d in distinct):
+            if not any(e == d for d in distinct):
                 distinct.append(e)
         assert len(out) == len(distinct)
         for e in distinct:
-            assert any(elem_eq(e, o) for o in out)
+            assert any(e == o for o in out)
 
 
 def test_elem_eq_act_invariant():
@@ -168,4 +165,4 @@ def test_elem_eq_act_invariant():
         e1 = _random_element(rng, schema)
         e2 = _random_element(rng, schema)
         p = random_perm(rng)
-        assert elem_eq(e1, e2) == elem_eq(e1.act(p), e2.act(p))
+        assert (e1 == e2) == (e1.act(p) == e2.act(p))

@@ -83,7 +83,7 @@ def test_subst_finite_respects_alpha():
 def _commutes(t, v, s, max_depth=10):
     out = subst_rational(t, v, s)
     for d in range(max_depth + 1):
-        direct = truncate(subst_finite(truncate(t, d), v, truncate(s, d)), d)
+        direct = truncate(graph_of(subst_finite(truncate(t, d), v, truncate(s, d))), d)
         if not alpha_eq_finite(truncate(out, d), direct):
             return False
     return True

@@ -28,12 +28,12 @@ from ratlam import (
     truncate,
     unfold_muterm,
 )
-from ratlam.terms import _cyclic_nodes, _literal_classes, alpha_bisim_renaming
+from ratlam.terms import _bisim_from, _literal_classes
 
 from conftest import (
     CORPUS,
-    cyclic_nodes_by_closure,
     literal_classes_by_rounds,
+    print_graph_by_scan,
     random_perm,
     random_term_graph,
 )
@@ -183,14 +183,14 @@ def test_truncate_examples():
     assert truncate(graph_of(parse_term("mu r. v0 #r")), 2) == App(
         Var(Atom(0)), App(BOT, BOT)
     )
-    assert truncate(Var(Atom(0)), 5) == Var(Atom(0))
+    assert truncate(graph_of(Var(Atom(0))), 5) == Var(Atom(0))
 
 
 def test_truncate_coherence():
     for src in CORPUS:
         g = graph_of(parse_term(src))
         for d in range(12):
-            assert truncate(truncate(g, d + 1), d) == truncate(g, d)
+            assert truncate(graph_of(truncate(g, d + 1)), d) == truncate(g, d)
 
 
 def test_unfold_muterm_agrees_with_graph_truncation():
@@ -237,8 +237,8 @@ def test_alpha_bisim_same_perm_invariance():
 def test_alpha_bisim_renaming_allows_free_variable_bijection():
     g1 = graph_of(parse_term("mu r. v0 #r"))
     g2 = graph_of(parse_term("mu r. v1 #r"))
-    assert alpha_bisim_renaming(g1, g2, {Atom(0): Atom(1)})
-    assert not alpha_bisim_renaming(g1, g2, {Atom(0): Atom(0)})
+    assert _bisim_from(g1, g1.root, g2, g2.root, frozenset({(Atom(0), Atom(1))}))
+    assert not _bisim_from(g1, g1.root, g2, g2.root, frozenset({(Atom(0), Atom(0))}))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,6 @@ def _glued(g: TermGraph) -> TermGraph:
 
 
 def test_graph_core_agrees_with_reference_algorithms():
-    # equal cyclic sets mean print_graph places every mu as before
     rng = random.Random(67)
     for _ in range(400):
         g = random_term_graph(rng, 12)
@@ -311,7 +310,7 @@ def test_graph_core_agrees_with_reference_algorithms():
             numbered: dict[int, int] = {}
             got = {n: numbered.setdefault(cls[n], len(numbered)) for n in order}
             assert got == literal_classes_by_rounds(h)
-            assert _cyclic_nodes(h) == cyclic_nodes_by_closure(h)
+            assert print_graph(h) == print_graph_by_scan(h)
 
 
 def test_subtree_count_rsigma_4():
@@ -337,6 +336,4 @@ def _ring(k: int) -> TermGraph:
 def test_graph_core_scales_to_10k_nodes():
     chain, ring = _chain(10_000), _ring(5_000)
     assert subtree_count(chain) == len(minimize(chain).nodes) == 10_000
-    assert _cyclic_nodes(chain) == set()
     assert subtree_count(ring) == len(minimize(ring).nodes) == 5_002
-    assert _cyclic_nodes(ring) == set(range(5_000))
