@@ -14,7 +14,6 @@ from .coalgebra import (
     c_construct,
     gen_pair,
     gen_rsigma,
-    graph_to_coalgebra,
     instantiate,
     parse_coalgebra,
     parse_root,
@@ -78,6 +77,20 @@ def _intern_header(interner: Interner, out) -> None:
 
 def _graph(text: str, interner: Interner) -> TermGraph:
     return graph_of(_parse(text, interner))
+
+
+def _rsigma(level: int) -> TermGraph:
+    try:
+        return gen_rsigma(level)
+    except ValueError as e:
+        raise CliError(f"bad rsigma level {level}: {e}")
+
+
+def _budget(**limits: int) -> BtBudget:
+    try:
+        return BtBudget(**limits)
+    except ValueError as e:
+        raise CliError(str(e))
 
 
 def run(argv, out=sys.stdout) -> int:
@@ -148,14 +161,16 @@ def run(argv, out=sys.stdout) -> int:
                 v = interner.atom(args.var)
                 g1 = _graph(args.term1, interner)
                 g2 = _graph(args.term2, interner)
+                if ("bot",) in {*g1.nodes.values(), *g2.nodes.values()}:
+                    raise CliError("subst needs terms without ⊥")
                 print(print_graph(subst_rational(g1, v, g2)), file=out)
             case "bt":
                 t = _parse_finite(args.term, interner)
-                budget = BtBudget(fuel=args.fuel, depth=args.depth)
+                budget = _budget(fuel=args.fuel, depth=args.depth)
                 print(print_term(bt_truncate(t, budget)), file=out)
             case "bt-graph":
                 t = _parse_finite(args.term, interner)
-                budget = BtBudget(fuel=args.fuel, states=args.states)
+                budget = _budget(fuel=args.fuel, states=args.states)
                 g = bt_graph(t, budget)
                 print("unknown" if g is None else print_graph(g), file=out)
             case "c-construct":
@@ -172,7 +187,7 @@ def run(argv, out=sys.stdout) -> int:
             case "examples":
                 _examples(args.name, out)
             case "bench":
-                g = gen_rsigma(args.level)
+                g = _rsigma(args.level)
                 got, want = subtree_count(g), rsigma_count(args.level)
                 print(f"{got} {want} {'ok' if got == want else 'MISMATCH'}", file=out)
                 return 0 if got == want else 1
@@ -192,7 +207,7 @@ def _examples(name: str, out) -> None:
             level = int(name.split(":", 1)[1])
         except ValueError:
             raise CliError(f"bad rsigma level in {name!r}")
-        print(print_graph(gen_rsigma(level)), file=out)
+        print(print_graph(_rsigma(level)), file=out)
     elif name == "u":
         print(print_term(gen_u()), file=out)
     elif name == "s":

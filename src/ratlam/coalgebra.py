@@ -28,14 +28,12 @@ from .orbits import (
 from .terms import (
     BOT,
     App,
-    Bot,
     FiniteTerm,
     Lam,
     TermGraph,
     Var,
-    _bisim_from,
     _children,
-    minimize,
+    _classes,
 )
 
 # FRESH marker in step views
@@ -430,25 +428,29 @@ def orbit_count(g: TermGraph) -> int:
     """Number of orbits among the distinct subtrees of g's unfolding.
 
     Two subtrees are in the same orbit iff some renaming of their free
-    variables makes them α-equivalent.  The graph is minimized first, so the
-    count is over distinct subtrees, not over nodes.
-
-    One bisimulation per candidate pair suffices.  `_free_order` lists a
-    subtree's free names by position in its unfolding, which α-renaming keeps
-    and a renaming π carries along, so π·t1 =α t2 forces π to map the order of
-    t1 onto the order of t2: that is the only correspondence to try, instead
-    of all k! bijections of k free names.  The cost is one `_free_order` per
-    node and one `_bisim_from` per (node, representative) pair of the same
-    label kind and arity.
+    variables makes them α-equivalent.  That is the coarsest partition stable
+    under the slot key: a node's kind plus each child's free order written as
+    positions in the node's own, FRESH for a λ's binder.  A renaming carries
+    `_free_order` along, so orbits are stable; in a stable partition, mapping
+    one node's order onto the other's is an α-bisimulation.  Cost: one
+    `_free_order` per reachable node plus one O(n log n) refinement.
     """
-    gm = minimize(g)
-    fvs = gm.fv_map()
-    reps: list[tuple[int, tuple[Atom, ...]]] = []
-    for n in gm.reachable():
-        order = _free_order(gm, fvs, n)
-        if not any(_same_orbit(gm, n, order, r, rorder) for r, rorder in reps):
-            reps.append((n, order))
-    return len(reps)
+    return len(set(_orbit_classes(g).values()))
+
+
+def _orbit_classes(g: TermGraph) -> dict[int, int]:
+    """Orbit equivalence on the reachable nodes, by the slot key, as node → class."""
+    fvs = g.fv_map()
+    orders = {n: _free_order(g, fvs, n) for n in g.reachable()}
+
+    def slot_key(n: int) -> tuple:
+        label = g.nodes[n]
+        pos = {a: i for i, a in enumerate(orders[n])}
+        if label[0] == "lam":
+            pos[label[1]] = FRESH
+        return (label[0], *(tuple([pos[a] for a in orders[c]]) for c in _children(label)))
+
+    return _classes(g, slot_key)
 
 
 def _free_order(g: TermGraph, fvs, n: int) -> tuple[Atom, ...]:
@@ -478,15 +480,6 @@ def _free_order(g: TermGraph, fvs, n: int) -> tuple[Atom, ...]:
                 seen.add(state)
                 queue.append(state)
     return tuple(found)
-
-
-def _same_orbit(g: TermGraph, n1: int, order1: tuple[Atom, ...],
-                n2: int, order2: tuple[Atom, ...]) -> bool:
-    if len(order1) != len(order2):
-        return False
-    if g.nodes[n1][0] != g.nodes[n2][0]:
-        return False
-    return _bisim_from(g, n1, g, n2, frozenset(zip(order1, order2)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .coalgebra import (
     graph_to_coalgebra,
     instantiate,
 )
-from .terms import BOT, App, Bot, FiniteTerm, Lam, TermGraph, Var, fv
+from .terms import App, Bot, FiniteTerm, Lam, TermGraph, Var, fv
 
 
 # ---------------------------------------------------------------------------

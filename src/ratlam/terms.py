@@ -11,6 +11,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .nominal import Atom, Perm, abstraction_eq
 
@@ -669,16 +670,20 @@ def _restrict(rho: frozenset[tuple[Atom, Atom]], dom: frozenset[Atom]):
 
 
 # ---------------------------------------------------------------------------
-# Subtree counting and minimization (literal labeled-tree equality)
+# Partition refinement; subtree counting and minimization
 
 
-def _literal_classes(g: TermGraph) -> dict[int, int]:
-    """Greatest bisimulation under literal label equality, as node → class.
+def _classes(g: TermGraph, key: Callable[[int], tuple]) -> dict[int, int]:
+    """Greatest bisimulation under equality of key(n), as node → class.
+
+    Two keys are in use: the literal key, `_label_key` of the node's label,
+    gives literal equality of unfoldings (`subtree_count`, `minimize`); the
+    slot key of `coalgebra._orbit_classes` gives orbit equivalence.
 
     Components are visited children first.  A node that reaches no cycle has
     a finite unfolding and gets its final class at once, hash-consed from its
-    label and its children's classes.  The nodes that reach a cycle start from
-    their labels plus the classes of their finite children, which keeps them
+    key and its children's classes.  The nodes that reach a cycle start from
+    their keys plus the classes of their finite children, which keeps them
     apart from every finite class, and blocks are split until the members of
     each block agree on their children's blocks.  A split moves every part
     but the largest to a new block and re-examines only the predecessors of
@@ -690,11 +695,10 @@ def _literal_classes(g: TermGraph) -> dict[int, int]:
     infinite: list[int] = []
     for comp in _sccs(g):
         n = comp[0]
-        label = g.nodes[n]
-        kids = _children(label)
+        kids = _children(g.nodes[n])
         if len(comp) == 1 and all(c in cls for c in kids):
-            key = (_label_key(label), tuple([cls[c] for c in kids]))
-            cls[n] = consed.setdefault(key, len(consed))
+            k = (key(n), tuple([cls[c] for c in kids]))
+            cls[n] = consed.setdefault(k, len(consed))
         else:
             infinite.extend(comp)
 
@@ -703,12 +707,11 @@ def _literal_classes(g: TermGraph) -> dict[int, int]:
     preds: dict[int, list[int]] = {n: [] for n in infinite}
     seeds: dict[tuple, int] = {}
     for n in infinite:
-        label = g.nodes[n]
-        kids = _children(label)
+        kids = _children(g.nodes[n])
         for c in kids:
             if c in preds:
                 preds[c].append(n)
-        b = seeds.setdefault((_label_key(label), tuple([cls.get(c) for c in kids])),
+        b = seeds.setdefault((key(n), tuple([cls.get(c) for c in kids])),
                              len(consed) + len(seeds))
         block[n] = b
         members.setdefault(b, set()).add(n)
@@ -743,29 +746,22 @@ def _literal_classes(g: TermGraph) -> dict[int, int]:
     return cls
 
 
-def _label_key(label: tuple):
-    match label:
-        case ("var", a):
-            return ("var", a)
-        case ("bot",):
-            return ("bot",)
-        case ("lam", x, _):
-            return ("lam", x)
-        case ("app", _, _):
-            return ("app",)
+def _label_key(label: tuple) -> tuple:
+    """The label without its children; one shared ("app",), not a slice per node."""
+    return ("app",) if label[0] == "app" else label[:2]
 
 
 def subtree_count(g: TermGraph) -> int:
     """Number of distinct subtrees of the unfolding, as literal labeled trees.
 
-    Costs one _literal_classes: O(n log n) in the reachable nodes.
+    Costs one `_classes`: O(n log n) in the reachable nodes.
     """
-    return len(set(_literal_classes(g).values()))
+    return len(set(_classes(g, lambda n: _label_key(g.nodes[n])).values()))
 
 
 def minimize(g: TermGraph) -> TermGraph:
     """Merge nodes with literally equal unfoldings; one node per subtree."""
-    cls = _literal_classes(g)
+    cls = _classes(g, lambda n: _label_key(g.nodes[n]))
     nodes: dict[int, tuple] = {}
     for n in g.reachable():
         c = cls[n]

@@ -167,8 +167,8 @@ def graph_eq_literal(g1: TermGraph, g2: TermGraph) -> bool:
 
 # ---------------------------------------------------------------------------
 # Reference algorithms for the graph core, for small graphs: round-based
-# refinement for ratlam.terms._literal_classes, and a print_graph that places
-# its μs by in-degrees, the transitive closure and a recursive scan.
+# refinement for ratlam.terms._classes under the literal key, and a print_graph
+# that places its μs by in-degrees, the transitive closure and a recursive scan.
 
 
 def literal_classes_by_rounds(g: TermGraph) -> dict[int, int]:

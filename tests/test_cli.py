@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from ratlam import alpha_eq_finite, parse_term
 from ratlam.cli import run
 
@@ -152,6 +154,22 @@ def test_bench():
     code, text = _run(["bench", "rsigma", "2"])
     assert code == 0
     assert text == "8 8 ok\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["examples", "rsigma:0"],
+    ["examples", "rsigma:5"],
+    ["bench", "rsigma", "0"],
+    ["bench", "rsigma", "9"],
+    ["bt", "-d", "0", "v0"],
+    ["bt", "-f", "-1", "v0"],
+    ["bt-graph", "-s", "0", "v0"],
+    ["subst", "-v", "v0", "_|_", "v1"],
+    ["subst", "-v", "v0", "v0", "_|_"],
+])
+def test_out_of_range_arguments_are_usage_errors(argv, capsys):
+    assert _run(argv) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_parse_error_exit_code():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -42,11 +43,18 @@ from ratlam import (
     validate_coalgebra,
 )
 from ratlam import coalgebra
-from ratlam.coalgebra import ConcreteStepAbs, ConcreteStepApp, ConcreteStepVar, _free_order
-from ratlam.terms import _bisim_from
+from ratlam.coalgebra import (
+    ConcreteStepAbs,
+    ConcreteStepApp,
+    ConcreteStepVar,
+    _classes,
+    _free_order,
+    _orbit_classes,
+)
 
 from conftest import (
     CORPUS,
+    _same_orbit_by_search,
     orbit_count_by_search,
     random_finite_term,
     random_perm,
@@ -289,6 +297,27 @@ def test_orbit_count_cycles_and_spines(k):
     assert orbit_count(_spine(k)) == k
 
 
+def test_orbit_count_work_on_a_cycle(monkeypatch):
+    orders, refinements = [], []
+
+    def counted_order(*args):
+        orders.append(args)
+        return _free_order(*args)
+
+    def counted_classes(*args):
+        refinements.append(args)
+        return _classes(*args)
+
+    monkeypatch.setattr(coalgebra, "_free_order", counted_order)
+    monkeypatch.setattr(coalgebra, "_classes", counted_classes)
+    g = _cycle(8)
+    assert orbit_count(g) == 2
+    # one free order per reachable node and one refinement, where trying all
+    # 8! renamings per pair of subtrees takes tens of thousands of steps
+    assert len(orders) == len(g.reachable())
+    assert len(refinements) == 1
+
+
 def test_orbit_count_matches_renaming_search():
     rng = random.Random(4)
     for _ in range(300):
@@ -298,19 +327,20 @@ def test_orbit_count_matches_renaming_search():
         assert orbit_count(g.act(random_perm(rng))) == want
 
 
-def test_orbit_count_work_on_a_cycle(monkeypatch):
-    calls = []
+def test_orbit_classes_are_orbits_pairwise():
+    # pairwise, so that two compensating errors cannot cancel in a count
+    rng = random.Random(7)
+    for _ in range(1000):
+        g = random_term_graph(rng, max_nodes=16, natoms=rng.randint(2, 5))
+        fvs = g.fv_map()
+        cls = _orbit_classes(g)
+        for n1, n2 in itertools.combinations(g.reachable(), 2):
+            assert (cls[n1] == cls[n2]) == _same_orbit_by_search(g, fvs, n1, n2)
 
-    def counted(*args):
-        calls.append(args)
-        return _bisim_from(*args)
 
-    monkeypatch.setattr(coalgebra, "_bisim_from", counted)
-    g = _cycle(8)
-    assert orbit_count(g) == 2
-    # at most one bisimulation per (distinct subtree, representative) pair,
-    # where trying all 8! renamings per pair takes tens of thousands
-    assert 0 < len(calls) <= subtree_count(g) * 2
+def test_orbit_count_rsigma_4():
+    # 122,704 nodes: deep enough for any recursive traversal to hit the limit
+    assert orbit_count(gen_rsigma(4)) == 6
 
 
 def _order_at_root(g: TermGraph) -> tuple[Atom, ...]:

@@ -28,7 +28,7 @@ from ratlam import (
     truncate,
     unfold_muterm,
 )
-from ratlam.terms import _bisim_from, _literal_classes
+from ratlam.terms import _bisim_from, _classes, _label_key
 
 from conftest import (
     CORPUS,
@@ -306,7 +306,7 @@ def test_graph_core_agrees_with_reference_algorithms():
         g = random_term_graph(rng, 12)
         for h in (g, _glued(g)):
             order = h.reachable()
-            cls = _literal_classes(h)
+            cls = _classes(h, lambda n: _label_key(h.nodes[n]))
             numbered: dict[int, int] = {}
             got = {n: numbered.setdefault(cls[n], len(numbered)) for n in order}
             assert got == literal_classes_by_rounds(h)
