@@ -124,9 +124,8 @@ def _canonicalize(t: FiniteTerm) -> FiniteTerm:
     α-equivalent terms with the same free variables get identical results,
     which makes canonical forms usable as memo keys.
     """
-    free = fv(t)
-    names = iter(_fresh_stream(free))
-    mapping: dict[Atom, Atom] = {}
+    taken = {a.index for a in fv(t)}
+    names = (Atom(i) for i in itertools.count() if i not in taken)
 
     def rec(t: FiniteTerm, bound: dict[Atom, Atom]) -> FiniteTerm:
         match t:
@@ -141,15 +140,6 @@ def _canonicalize(t: FiniteTerm) -> FiniteTerm:
                 return Lam(x2, rec(b, {**bound, x: x2}))
 
     return rec(t, {})
-
-
-def _fresh_stream(avoid):
-    taken = {a.index for a in avoid}
-    i = 0
-    while True:
-        if i not in taken:
-            yield Atom(i)
-        i += 1
 
 
 class _StateBudgetExceeded(Exception):

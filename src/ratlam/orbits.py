@@ -78,17 +78,16 @@ class OrbitSchema:
 @dataclass(frozen=True)
 class OrbitSet:
     schemas: tuple[OrbitSchema, ...]
+    _by_id: dict[str, OrbitSchema] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [s.id for s in self.schemas]
-        if len(set(ids)) != len(ids):
+        by_id = {s.id: s for s in self.schemas}
+        if len(by_id) != len(self.schemas):
             raise ValueError("schema ids must be pairwise distinct")
+        object.__setattr__(self, "_by_id", by_id)
 
     def __getitem__(self, schema_id: str) -> OrbitSchema:
-        for s in self.schemas:
-            if s.id == schema_id:
-                return s
-        raise KeyError(schema_id)
+        return self._by_id[schema_id]
 
     def __iter__(self):
         return iter(self.schemas)

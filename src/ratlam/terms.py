@@ -149,12 +149,17 @@ class UnguardedMu(ValueError):
         self.label = label
 
 
+# Exactly the names `_atom_name` prints: no leading zero.
+_ATOM_NAME = r"v(0|[1-9][0-9]*)"
+
+
 class Interner:
     """Maps identifiers to atoms.
 
-    Identifiers of the shape v<digits> map to that atom directly; any other
-    identifier gets the least atom index not yet in use.  Sharing one
-    interner across several parses keeps distinct names distinct.
+    Identifiers spelled as an atom prints, v0, v1, ..., map to that atom
+    directly; any other identifier, v01 included, gets the least atom index
+    not yet in use.  Sharing one interner across several parses keeps
+    distinct names distinct.
     """
 
     def __init__(self):
@@ -162,14 +167,14 @@ class Interner:
         self._used: set[int] = set()
 
     def reserve(self, text: str):
-        """Pre-claim every v<digits> identifier occurring in text."""
-        for m in re.finditer(r"\bv(\d+)\b", text):
+        """Pre-claim every atom name occurring in text."""
+        for m in re.finditer(rf"\b{_ATOM_NAME}\b", text):
             self._used.add(int(m.group(1)))
 
     def atom(self, name: str) -> Atom:
         if name in self._by_name:
             return self._by_name[name]
-        m = re.fullmatch(r"v(\d+)", name)
+        m = re.fullmatch(_ATOM_NAME, name)
         if m:
             idx = int(m.group(1))
         else:
@@ -353,17 +358,8 @@ class TermGraph:
         self._fv: dict[int, frozenset[Atom]] | None = None
 
     def reachable(self) -> list[int]:
-        seen: list[int] = []
-        stack = [self.root]
-        visited = set()
-        while stack:
-            n = stack.pop()
-            if n in visited:
-                continue
-            visited.add(n)
-            seen.append(n)
-            stack.extend(reversed(_children(self.nodes[n])))
-        return seen
+        """The nodes reachable from the root, in depth-first preorder."""
+        return [n for kind, n, _ in _dfs(self) if kind == _ENTER]
 
     def fv_map(self) -> dict[int, frozenset[Atom]]:
         """Free variables per node: least fixpoint of the structural equations."""
@@ -501,9 +497,9 @@ _ENTER, _EDGE, _EXIT = range(3)
 def _dfs(g: TermGraph):
     """Depth-first search from the root, children in order, on an explicit stack.
 
-    Yields (_ENTER, n, parent) when n is first reached, (_EDGE, n, c) for
-    each edge n → c whose target was reached before, and (_EXIT, n, parent)
-    when every child of n is done; parent is None at the root.
+    Yields (_ENTER, n, None) when n is first reached, (_EDGE, n, c) for each
+    edge n → c whose target was reached before, and (_EXIT, n, None) when
+    every child of n is done; by then each child has been entered.
     """
     root = g.root
     seen = {root}
@@ -516,43 +512,12 @@ def _dfs(g: TermGraph):
                 yield _EDGE, n, c
             else:
                 seen.add(c)
-                yield _ENTER, c, n
+                yield _ENTER, c, None
                 stack.append((c, iter(_children(g.nodes[c]))))
                 break
         else:
             stack.pop()
-            yield _EXIT, n, stack[-1][0] if stack else None
-
-
-def _sccs(g: TermGraph) -> list[list[int]]:
-    """Strongly connected components of the nodes reachable from the root,
-    each listed after every component it reaches (Tarjan 1972).  O(n)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    path: list[int] = []
-    on_path: set[int] = set()
-    comps: list[list[int]] = []
-    for kind, n, m in _dfs(g):
-        if kind == _ENTER:
-            index[n] = low[n] = len(index)
-            path.append(n)
-            on_path.add(n)
-        elif kind == _EDGE:
-            if m in on_path and index[m] < low[n]:
-                low[n] = index[m]
-        else:
-            if low[n] == index[n]:
-                comp = []
-                while True:
-                    x = path.pop()
-                    on_path.discard(x)
-                    comp.append(x)
-                    if x == n:
-                        break
-                comps.append(comp)
-            if m is not None and low[n] < low[m]:
-                low[m] = low[n]
-    return comps
+            yield _EXIT, n, None
 
 
 # ---------------------------------------------------------------------------
@@ -680,27 +645,31 @@ def _classes(g: TermGraph, key: Callable[[int], tuple]) -> dict[int, int]:
     gives literal equality of unfoldings (`subtree_count`, `minimize`); the
     slot key of `coalgebra._orbit_classes` gives orbit equivalence.
 
-    Components are visited children first.  A node that reaches no cycle has
-    a finite unfolding and gets its final class at once, hash-consed from its
-    key and its children's classes.  The nodes that reach a cycle start from
-    their keys plus the classes of their finite children, which keeps them
-    apart from every finite class, and blocks are split until the members of
-    each block agree on their children's blocks.  A split moves every part
-    but the largest to a new block and re-examines only the predecessors of
-    moved nodes (Hopcroft's smaller half), so a node moves O(log n) times and
-    the whole costs O(n log n) for the n reachable nodes.
+    One depth-first search classes the nodes in postorder.  At its exit, a
+    node whose children all have a class reaches no cycle, so its unfolding
+    is finite: it gets its final class at once, hash-consed from its key and
+    its children's classes.  Any other node reaches a cycle, because a child
+    without a class is still on the search path or reaches a cycle itself.
+    These nodes start from their keys plus the classes of their finite
+    children, which keeps them apart from every finite class, and blocks are
+    split until the members of each block agree on their children's blocks.
+    A split moves every part but the largest to a new block and re-examines
+    only the predecessors of moved nodes (Hopcroft's smaller half), so a node
+    moves O(log n) times and the whole costs O(n log n) for the n reachable
+    nodes.
     """
     cls: dict[int, int] = {}
     consed: dict[tuple, int] = {}
     infinite: list[int] = []
-    for comp in _sccs(g):
-        n = comp[0]
+    for kind, n, _ in _dfs(g):
+        if kind != _EXIT:
+            continue
         kids = _children(g.nodes[n])
-        if len(comp) == 1 and all(c in cls for c in kids):
+        if all(c in cls for c in kids):
             k = (key(n), tuple([cls[c] for c in kids]))
             cls[n] = consed.setdefault(k, len(consed))
         else:
-            infinite.extend(comp)
+            infinite.append(n)
 
     block: dict[int, int] = {}
     members: dict[int, set[int]] = {}
@@ -763,8 +732,7 @@ def minimize(g: TermGraph) -> TermGraph:
     """Merge nodes with literally equal unfoldings; one node per subtree."""
     cls = _classes(g, lambda n: _label_key(g.nodes[n]))
     nodes: dict[int, tuple] = {}
-    for n in g.reachable():
-        c = cls[n]
+    for n, c in cls.items():
         if c in nodes:
             continue
         match g.nodes[n]:

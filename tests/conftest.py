@@ -166,15 +166,32 @@ def graph_eq_literal(g1: TermGraph, g2: TermGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reference algorithms for the graph core, for small graphs: round-based
-# refinement for ratlam.terms._classes under the literal key, and a print_graph
-# that places its μs by in-degrees, the transitive closure and a recursive scan.
+# Reference algorithms for the graph core, for small graphs: a preorder on its
+# own stack for TermGraph.reachable, round-based refinement for
+# ratlam.terms._classes under the literal key, and a print_graph that places
+# its μs by in-degrees, the transitive closure and a recursive scan.
+
+
+def reachable_by_stack(g: TermGraph) -> list[int]:
+    """Preorder from the root, children in order: pop a node, skip it if seen,
+    else record it and push its children in reverse."""
+    seen: list[int] = []
+    stack = [g.root]
+    visited = set()
+    while stack:
+        n = stack.pop()
+        if n in visited:
+            continue
+        visited.add(n)
+        seen.append(n)
+        stack.extend(reversed(_children(g.nodes[n])))
+    return seen
 
 
 def literal_classes_by_rounds(g: TermGraph) -> dict[int, int]:
     """Round-based partition refinement over all reachable nodes; classes are
     numbered by first occurrence in preorder."""
-    order = g.reachable()
+    order = reachable_by_stack(g)
     cls = {n: _label_key(g.nodes[n]) for n in order}
     while True:
         sig = {
@@ -191,9 +208,10 @@ def literal_classes_by_rounds(g: TermGraph) -> dict[int, int]:
         cls = new
 
 
-def cyclic_nodes_by_closure(g: TermGraph) -> set[int]:
-    """Nodes that can reach themselves, from the transitive closure."""
-    order = g.reachable()
+def reach_by_closure(g: TermGraph) -> dict[int, set[int]]:
+    """The nodes each reachable node reaches by one or more edges, from the
+    transitive closure."""
+    order = reachable_by_stack(g)
     reach: dict[int, set[int]] = {n: set(_children(g.nodes[n])) for n in order}
     changed = True
     while changed:
@@ -205,13 +223,19 @@ def cyclic_nodes_by_closure(g: TermGraph) -> set[int]:
             if new != reach[n]:
                 reach[n] = new
                 changed = True
-    return {n for n in order if n in reach[n]}
+    return reach
+
+
+def cyclic_nodes_by_closure(g: TermGraph) -> set[int]:
+    """Nodes that can reach themselves."""
+    reach = reach_by_closure(g)
+    return {n for n in reach if n in reach[n]}
 
 
 def print_graph_by_scan(g: TermGraph) -> str:
     """ratlam.terms.print_graph, with a μ on each shared or cyclic node that a
     first printing pass re-enters."""
-    order = g.reachable()
+    order = reachable_by_stack(g)
     indeg: dict[int, int] = {n: 0 for n in order}
     for n in order:
         for c in _children(g.nodes[n]):

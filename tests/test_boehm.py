@@ -21,6 +21,7 @@ from ratlam import (
     graph_of,
     head_reduce,
     parse_term,
+    print_graph,
     truncate,
 )
 
@@ -158,6 +159,13 @@ def test_bt_graph_of_s_is_the_expected_loop():
     g = bt_graph(gen_s(), BtBudget())
     assert g is not None
     assert alpha_bisim(g, graph_of(parse_term("mu r. \\v0. \\v1. (v0 #r) v1")))
+
+
+def test_bt_graph_names_binders_in_traversal_order():
+    # each state is canonicalized with the least atoms outside its free names
+    assert print_graph(bt_graph(gen_s(), BtBudget())) == "mu r0. \\v2. \\v3. v2 #r0 v3"
+    t = parse_term(r"(\x. \y. y (x y)) (\z. \w. w z)")
+    assert print_graph(bt_graph(t, BtBudget())) == "\\v1. v1 (\\v2. v2 v1)"
 
 
 def test_bt_graph_agrees_with_bt_truncate():

@@ -70,6 +70,16 @@ def test_alpha_eq_shares_interner_between_terms():
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["print", r"\v01. v1"], (0, "# v01 = v0\n\\v0. v1\n")),
+    (["alpha-eq", r"\v01. v1", r"\v1. v1"], (1, "false\n")),
+    (["subtrees", "v01 v1"], (0, "3\n")),
+])
+def test_leading_zero_names_are_not_atom_names(argv, expected):
+    # v01 is an ordinary identifier, not the atom v1, so it captures nothing
+    assert _run(argv) == expected
+
+
 def test_subtrees():
     code, text = _run(["subtrees", "v0 v1"])
     assert code == 0

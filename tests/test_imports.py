@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every top-level function and class of the package is used somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -6,13 +7,12 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ratlam"
+TREES = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
-)
-def test_imported_names_are_used(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+@pytest.mark.parametrize("name", sorted(n for n in TREES if n != "__init__.py"))
+def test_imported_names_are_used(name):
+    tree = TREES[name]
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -21,3 +21,23 @@ def test_imported_names_are_used(path):
             imported.update((a.asname or a.name).split(".")[0] for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"unused imports: {sorted(imported - used)}"
+
+
+def test_top_level_definitions_are_used():
+    used = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    unused = [
+        f"{name}: {node.name}"
+        for name, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+    assert not unused, f"defined but never used: {unused}"

@@ -40,6 +40,14 @@ def test_validate_rejects_duplicate_ids():
         OrbitSet((OrbitSchema("a", 1), OrbitSchema("a", 2)))
 
 
+def test_orbit_set_looks_up_schemas_by_id():
+    a, b = OrbitSchema("a", 1), OrbitSchema("b", 2)
+    s = OrbitSet((a, b))
+    assert s["a"] is a and s["b"] is b
+    with pytest.raises(KeyError):
+        s["c"]
+
+
 def test_element_requires_injective_tuple_of_right_arity():
     s = OrbitSchema("p", 2)
     with pytest.raises(ValueError):

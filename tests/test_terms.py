@@ -36,6 +36,8 @@ from conftest import (
     print_graph_by_scan,
     random_perm,
     random_term_graph,
+    reach_by_closure,
+    reachable_by_stack,
 )
 
 # ---------------------------------------------------------------------------
@@ -306,11 +308,19 @@ def test_graph_core_agrees_with_reference_algorithms():
         g = random_term_graph(rng, 12)
         for h in (g, _glued(g)):
             order = h.reachable()
+            assert order == reachable_by_stack(h)
             cls = _classes(h, lambda n: _label_key(h.nodes[n]))
             numbered: dict[int, int] = {}
             got = {n: numbered.setdefault(cls[n], len(numbered)) for n in order}
             assert got == literal_classes_by_rounds(h)
             assert print_graph(h) == print_graph_by_scan(h)
+            # the nodes that reach no cycle are hash-consed, numbered before
+            # every class of the refined part
+            reach = reach_by_closure(h)
+            finite = {n for n in order if not any(m in reach[m] for m in reach[n] | {n})}
+            k = len({cls[n] for n in finite})
+            assert {cls[n] for n in finite} == set(range(k))
+            assert all(cls[n] >= k for n in order if n not in finite)
 
 
 def test_subtree_count_rsigma_4():
