@@ -8,6 +8,7 @@ operation here takes an explicit budget; running out of fuel is a value
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .nominal import Atom, fresh_atom
@@ -92,30 +93,30 @@ def bt_truncate(t: FiniteTerm, budget: BtBudget) -> FiniteTerm:
     Depth is tree depth of the emitted prefix, so the result agrees with
     `truncate` applied to the full Böhm tree at the same depth.
     """
+    return _bt_prefix(t, 0, budget)
+
+
+def _bt_prefix(term: FiniteTerm, cur: int, budget: BtBudget) -> FiniteTerm:
     d = budget.depth
-
-    def rec(term: FiniteTerm, cur: int) -> FiniteTerm:
-        if cur >= d:
-            return BOT
-        res = head_reduce(term, budget.fuel)
-        if isinstance(res, BottomVerdict):
-            return BOT
-        n, m = len(res.binders), len(res.args)
-        out: FiniteTerm = Var(res.head) if cur + n + m < d else BOT
-        for i, arg in enumerate(res.args):
-            app_depth = cur + n + m - 1 - i
-            if app_depth >= d:
-                out = BOT
-            else:
-                out = App(out, rec(arg, app_depth + 1))
-        for j in range(n - 1, -1, -1):
-            if cur + j >= d:
-                out = BOT
-            else:
-                out = Lam(res.binders[j], out)
-        return out
-
-    return rec(t, 0)
+    if cur >= d:
+        return BOT
+    res = head_reduce(term, budget.fuel)
+    if isinstance(res, BottomVerdict):
+        return BOT
+    n, m = len(res.binders), len(res.args)
+    out: FiniteTerm = Var(res.head) if cur + n + m < d else BOT
+    for i, arg in enumerate(res.args):
+        app_depth = cur + n + m - 1 - i
+        if app_depth >= d:
+            out = BOT
+        else:
+            out = App(out, _bt_prefix(arg, app_depth + 1, budget))
+    for j in range(n - 1, -1, -1):
+        if cur + j >= d:
+            out = BOT
+        else:
+            out = Lam(res.binders[j], out)
+    return out
 
 
 def _canonicalize(t: FiniteTerm) -> FiniteTerm:
@@ -126,20 +127,20 @@ def _canonicalize(t: FiniteTerm) -> FiniteTerm:
     """
     taken = {a.index for a in fv(t)}
     names = (Atom(i) for i in itertools.count() if i not in taken)
+    return _rename_binders(t, {}, names)
 
-    def rec(t: FiniteTerm, bound: dict[Atom, Atom]) -> FiniteTerm:
-        match t:
-            case Var(a):
-                return Var(bound.get(a, a))
-            case Bot():
-                return t
-            case App(f, a):
-                return App(rec(f, bound), rec(a, bound))
-            case Lam(x, b):
-                x2 = next(names)
-                return Lam(x2, rec(b, {**bound, x: x2}))
 
-    return rec(t, {})
+def _rename_binders(t: FiniteTerm, bound: dict[Atom, Atom], names: Iterator[Atom]) -> FiniteTerm:
+    match t:
+        case Var(a):
+            return Var(bound.get(a, a))
+        case Bot():
+            return t
+        case App(f, a):
+            return App(_rename_binders(f, bound, names), _rename_binders(a, bound, names))
+        case Lam(x, b):
+            x2 = next(names)
+            return Lam(x2, _rename_binders(b, {**bound, x: x2}, names))
 
 
 class _StateBudgetExceeded(Exception):
@@ -185,6 +186,8 @@ def bt_graph(t: FiniteTerm, budget: BtBudget) -> TermGraph | None:
         root = build(t)
     except _StateBudgetExceeded:
         return None
+    finally:
+        del build  # it refers to itself: a cycle that would hold the memo
     return TermGraph(nodes, root)
 
 

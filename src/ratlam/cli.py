@@ -6,6 +6,7 @@ Exit codes: 0 success (or true), 1 semantic false, 2 usage / parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .boehm import BtBudget, bt_graph, bt_truncate, gen_s, gen_u
@@ -93,7 +94,9 @@ def _budget(**limits: int) -> BtBudget:
         raise CliError(str(e))
 
 
-def run(argv, out=sys.stdout) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built on the first `run`, not at import; `parse_args` leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="ratlam", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -129,9 +132,16 @@ def run(argv, out=sys.stdout) -> int:
     p = sub.add_parser("bench", help="subtree count vs closed form")
     p.add_argument("family", choices=["rsigma"])
     p.add_argument("level", type=int)
+    return ap
 
+
+def run(argv, out=None) -> int:
+    """Run one command in-process and return its exit code; `out` defaults
+    to the current `sys.stdout`."""
+    if out is None:
+        out = sys.stdout
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from ratlam import (
@@ -24,6 +26,7 @@ from ratlam import (
     print_graph,
     truncate,
 )
+from ratlam.boehm import _canonicalize
 
 # ---------------------------------------------------------------------------
 # Head reduction
@@ -185,6 +188,25 @@ def test_bt_graph_unknown_on_divergence():
 def test_bt_graph_unknown_on_growing_fronts():
     t = App(gen_u(), Var(Atom(3)))
     assert bt_graph(t, BtBudget(states=64)) is None
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bt_graph(gen_u(), BtBudget(states=64, fuel=64)),
+    lambda: bt_graph(gen_s(), BtBudget(states=64, fuel=64)),
+    lambda: bt_graph(gen_omega(), BtBudget()),
+    lambda: bt_truncate(gen_u(), BtBudget()),
+    lambda: _canonicalize(gen_u()),
+], ids=["bt_graph-u", "bt_graph-s", "bt_graph-omega", "bt_truncate-u", "canonicalize-u"])
+def test_boehm_calls_leave_no_reference_cycles(call):
+    # a cycle through a recursive closure would keep the call's memo alive
+    # until the cyclic collector next runs
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

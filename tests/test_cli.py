@@ -1,9 +1,17 @@
+import argparse
+import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ratlam import alpha_eq_finite, parse_term
 from ratlam.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run(argv):
@@ -194,3 +202,47 @@ def test_outputs_are_deterministic():
         ["examples", "rsigma:2"],
     ):
         assert _run(argv) == _run(argv)
+
+
+def test_run_writes_to_the_current_stdout():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(["print", "v0 v1"])
+    assert (code, buf.getvalue()) == (0, "v0 v1\n")
+
+
+def test_parser_is_built_at_most_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(100):
+        assert _run(["subtrees", "v0 v1"]) == (0, "3\n")
+    assert built.count("ratlam") <= 1
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    term = r"\x. x (x (x v0))"
+    for usage_error in (["truncate", "v0"], ["nope"], ["bt", "-d", "0", "v0"]):
+        assert _run(usage_error) == (2, "")
+        assert _run(["bt", "-d", "2", term]) == (0, "\\v1. _|_ _|_\n")
+        assert _run(["bt", term]) == (0, "\\v1. v1 (v1 (v1 v0))\n")  # default depth 8
+    assert "usage: ratlam" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, stdout", [
+    (["subtrees", "v0 v1"], 0, "3\n"),
+    (["alpha-eq", "mu r. v0 #r", "mu r. v1 #r"], 1, "false\n"),
+    (["print", "(v0"], 2, ""),
+])
+def test_command_runs_as_a_process(argv, code, stdout):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "ratlam.cli", *argv], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (code, stdout), done.stderr
+    if code == 2:
+        assert done.stderr.startswith("error: parse error")
