@@ -2,9 +2,10 @@
 
 A symbolic coalgebra gives the structure map schema-wise: each orbit gets a
 step template over its slots.  Instantiating yields a concrete coalgebra on
-elements, and `c_construct` restricts it to elements supported inside a name
-pool of size m+1, producing a finite term graph that unfolds to the
-represented rational λ-tree.
+elements, whose step is a term-graph label with carrier elements in place of
+node ids: `("var", a)`, `("lam", v, elem)` or `("app", l, r)`.  `c_construct`
+restricts it to elements supported inside a name pool of size m+1, producing
+a finite term graph that unfolds to the represented rational λ-tree.
 """
 
 from __future__ import annotations
@@ -25,16 +26,7 @@ from .orbits import (
     enumerate_support_in,
     validate_orbit_set,
 )
-from .terms import (
-    BOT,
-    App,
-    FiniteTerm,
-    Lam,
-    TermGraph,
-    Var,
-    _children,
-    _classes,
-)
+from .terms import TermGraph, _children, _classes
 
 # FRESH marker in step views
 FRESH = None
@@ -45,7 +37,7 @@ Assignment = tuple
 
 @dataclass(frozen=True)
 class VarStep:
-    source: int | Atom  # slot index, or a literal atom
+    source: int  # slot index
 
 
 @dataclass(frozen=True)
@@ -75,26 +67,13 @@ class SymbolicCoalgebra:
         return OrbitElement(self.carrier[schema_id], tuple(atoms))
 
 
-@dataclass(frozen=True)
-class ConcreteStepVar:
-    atom: Atom
-
-
-@dataclass(frozen=True)
-class ConcreteStepAbs:
-    binder: Atom
-    body: object
-
-
-@dataclass(frozen=True)
-class ConcreteStepApp:
-    left: object
-    right: object
-
-
 @dataclass
 class ConcreteCoalgebra:
-    """A total step function on elements, with a bound on support sizes."""
+    """A total step function on elements, with a bound on support sizes.
+
+    A step is a term-graph label with elements where a graph has node ids:
+    `("var", a)`, `("lam", v, elem)` or `("app", l, r)`.
+    """
 
     step_fn: Callable
     support_bound: int
@@ -144,12 +123,12 @@ def _step_of_tuple(c: SymbolicCoalgebra, schema: OrbitSchema, atoms: tuple[Atom,
     view = c.steps[schema.id]
     match view:
         case VarStep(source=src):
-            return ConcreteStepVar(atoms[src] if isinstance(src, int) else src)
+            return ("var", atoms[src])
         case AppStep(left_schema=ls, left_assignment=la,
                      right_schema=rs, right_assignment=ra):
             left = OrbitElement(c.carrier[ls], tuple(atoms[s] for s in la))
             right = OrbitElement(c.carrier[rs], tuple(atoms[s] for s in ra))
-            return ConcreteStepApp(left, right)
+            return ("app", left, right)
         case AbsStep(binder=binder, target_schema=ts, assignment=asg):
             if binder is FRESH:
                 v = fresh_atom(atoms)
@@ -158,7 +137,7 @@ def _step_of_tuple(c: SymbolicCoalgebra, schema: OrbitSchema, atoms: tuple[Atom,
             body = OrbitElement(
                 c.carrier[ts], tuple(v if s is FRESH else atoms[s] for s in asg)
             )
-            return ConcreteStepAbs(v, body)
+            return ("lam", v, body)
     raise InvalidCoalgebra(f"unknown step view {view!r}")
 
 
@@ -171,7 +150,7 @@ def validate_coalgebra(c: SymbolicCoalgebra) -> SymbolicCoalgebra:
         view = c.steps[schema.id]
         match view:
             case VarStep(source=src):
-                if isinstance(src, int) and not 0 <= src < schema.arity:
+                if not 0 <= src < schema.arity:
                     raise InvalidCoalgebra(f"step of {schema.id!r}: slot {src} out of range")
             case AppStep(left_schema=ls, left_assignment=la,
                          right_schema=rs, right_assignment=ra):
@@ -186,23 +165,12 @@ def validate_coalgebra(c: SymbolicCoalgebra) -> SymbolicCoalgebra:
         s0 = _step_of_tuple(c, schema, base)
         for g in schema.stabilizer:
             sg = _step_of_tuple(c, schema, apply_slot_perm(g, base))
-            if not _steps_agree(s0, sg):
+            agree = s0 == sg or s0[0] == sg[0] == "lam" and abstraction_eq(*s0[1:], *sg[1:])
+            if not agree:
                 raise InvalidCoalgebra(
                     f"step of {schema.id!r} is not well-defined under stabilizer {g}"
                 )
     return c
-
-
-def _steps_agree(s1, s2) -> bool:
-    match (s1, s2):
-        case (ConcreteStepVar(atom=a), ConcreteStepVar(atom=b)):
-            return a == b
-        case (ConcreteStepApp(left=l1, right=r1), ConcreteStepApp(left=l2, right=r2)):
-            return l1 == l2 and r1 == r2
-        case (ConcreteStepAbs(binder=v1, body=b1), ConcreteStepAbs(binder=v2, body=b2)):
-            return abstraction_eq(v1, b1, v2, b2)
-        case _:
-            return False
 
 
 def instantiate(c: SymbolicCoalgebra) -> ConcreteCoalgebra:
@@ -268,11 +236,11 @@ def c_construct(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) 
         nid = ids[e]
         step = conc.step_fn(e)
         match step:
-            case ConcreteStepVar(atom=a):
-                nodes[nid] = ("var", a)
-            case ConcreteStepApp(left=l, right=r):
+            case ("var", _):
+                nodes[nid] = step
+            case ("app", l, r):
                 nodes[nid] = ("app", node_id(l, True), node_id(r, True))
-            case ConcreteStepAbs(binder=v, body=body):
+            case ("lam", v, body):
                 free_in_w = W - e.support()
                 if not free_in_w:
                     raise SupportTooLarge(e)
@@ -283,31 +251,6 @@ def c_construct(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) 
                 raise InvalidCoalgebra(f"unknown concrete step {other!r}")
 
     return TermGraph(nodes, ids[root])
-
-
-def naive_unfold(conc: ConcreteCoalgebra, root, depth: int) -> FiniteTerm:
-    """Corecursive unfolding with globally fresh binder names; truncates at depth.
-
-    Independent oracle for c_construct: it never reuses a binder name, so it
-    exercises none of the name-pool bookkeeping.
-    """
-    top = max((a.index for a in root.support()), default=-1)
-    counter = itertools.count(top + conc.support_bound + 2)
-
-    def go(e, d: int) -> FiniteTerm:
-        if d <= 0:
-            return BOT
-        step = conc.step_fn(e)
-        match step:
-            case ConcreteStepVar(atom=a):
-                return Var(a)
-            case ConcreteStepApp(left=l, right=r):
-                return App(go(l, d - 1), go(r, d - 1))
-            case ConcreteStepAbs(binder=v, body=body):
-                u = Atom(next(counter))
-                return Lam(u, go(body.act(swap(v, u)), d - 1))
-
-    return go(root, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -387,27 +330,30 @@ def gen_rsigma(levels: int) -> TermGraph:
     r_id = {f: next(counter) for f in fronts}
     h_id = {f: next(counter) for f in fronts}
 
+    # no f is in bin_memo yet: it holds only fronts shorter than m
     bin_memo: dict[tuple[Atom, ...], int] = {}
-
-    def bin_node(front: tuple[Atom, ...]) -> int:
-        if front in bin_memo:
-            return bin_memo[front]
-        nid = next(counter)
-        bin_memo[front] = nid
-        if len(front) == 1:
-            nodes[nid] = ("var", front[0])
-        else:
-            h = len(front) // 2
-            nodes[nid] = ("app", bin_node(front[:h]), bin_node(front[h:]))
-        return nid
-
     for f in fronts:
         transposed = (f[1], f[0]) + f[2:] if m >= 2 else f
         rotated = f[1:] + f[:1]
         nodes[h_id[f]] = ("app", r_id[transposed], r_id[rotated])
-        nodes[r_id[f]] = ("app", h_id[f], bin_node(f))
+        nodes[r_id[f]] = ("app", h_id[f], _bin_node(f, bin_memo, nodes, counter))
 
     return TermGraph(nodes, r_id[base])
+
+
+def _bin_node(front: tuple[Atom, ...], memo: dict, nodes: dict, counter) -> int:
+    """The balanced application tree over front's variables, for a front not
+    yet in memo; subtrees are shared through memo, ids drawn in preorder."""
+    nid = memo[front] = next(counter)
+    if len(front) == 1:
+        nodes[nid] = ("var", front[0])
+    else:
+        h = len(front) // 2
+        left, right = front[:h], front[h:]
+        nodes[nid] = ("app",
+                      memo[left] if left in memo else _bin_node(left, memo, nodes, counter),
+                      memo[right] if right in memo else _bin_node(right, memo, nodes, counter))
+    return nid
 
 
 def rsigma_count(levels: int) -> int:

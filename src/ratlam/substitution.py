@@ -11,15 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .nominal import Atom, Perm, fresh_atom, swap
-from .coalgebra import (
-    ConcreteCoalgebra,
-    ConcreteStepAbs,
-    ConcreteStepApp,
-    ConcreteStepVar,
-    c_construct,
-    graph_to_coalgebra,
-    instantiate,
-)
+from .coalgebra import ConcreteCoalgebra, c_construct, graph_to_coalgebra, instantiate
 from .terms import App, Bot, FiniteTerm, Lam, TermGraph, Var, fv
 
 
@@ -53,17 +45,6 @@ def subst_finite(t: FiniteTerm, v: Atom, s: FiniteTerm) -> FiniteTerm:
 
 
 @dataclass(frozen=True)
-class InB:
-    elem: object
-
-    def support(self) -> frozenset[Atom]:
-        return self.elem.support()
-
-    def act(self, p: Perm) -> "InB":
-        return InB(self.elem.act(p))
-
-
-@dataclass(frozen=True)
 class InTriple:
     elem: object
     marker: Atom
@@ -77,39 +58,27 @@ class InTriple:
 
 
 def subst_coalgebra(a: ConcreteCoalgebra, b: ConcreteCoalgebra) -> ConcreteCoalgebra:
-    """The coalgebra on B + A×V×B whose behavior is substitution."""
+    """The coalgebra on B + A×V×B whose behavior is substitution.
 
-    def wrap_b(step):
-        match step:
-            case ConcreteStepVar():
-                return step
-            case ConcreteStepApp(left=l, right=r):
-                return ConcreteStepApp(InB(l), InB(r))
-            case ConcreteStepAbs(binder=v, body=y):
-                return ConcreteStepAbs(v, InB(y))
+    The B summand is B's own elements, with B's own steps; every other state
+    is an `InTriple`.
+    """
 
     def step_fn(state):
-        match state:
-            case InB(elem=y):
-                return wrap_b(b.step_fn(y))
-            case InTriple(elem=x, marker=w, repl=y):
-                match a.step_fn(x):
-                    case ConcreteStepVar(atom=u):
-                        if u != w:
-                            return ConcreteStepVar(u)
-                        return wrap_b(b.step_fn(y))
-                    case ConcreteStepAbs(binder=u, body=x2):
-                        # rename the abstraction representative away from the
-                        # marker and the replacement before pairing (strength)
-                        u2 = fresh_atom({w} | y.support() | x.support())
-                        return ConcreteStepAbs(
-                            u2, InTriple(x2.act(swap(u, u2)), w, y)
-                        )
-                    case ConcreteStepApp(left=x1, right=x2):
-                        return ConcreteStepApp(
-                            InTriple(x1, w, y), InTriple(x2, w, y)
-                        )
-        raise TypeError(f"not a substitution state: {state!r}")
+        if not isinstance(state, InTriple):
+            return b.step_fn(state)
+        x, w, y = state.elem, state.marker, state.repl
+        match step := a.step_fn(x):
+            case ("var", u):
+                return b.step_fn(y) if u == w else step
+            case ("lam", u, x2):
+                # rename the abstraction representative away from the
+                # marker and the replacement before pairing (strength)
+                u2 = fresh_atom({w} | y.support() | x.support())
+                return ("lam", u2, InTriple(x2.act(swap(u, u2)), w, y))
+            case ("app", x1, x2):
+                return ("app", InTriple(x1, w, y), InTriple(x2, w, y))
+        raise TypeError(f"step of {x!r} is not a λ-tree label: {step!r}")
 
     return ConcreteCoalgebra(step_fn, a.support_bound + 1 + b.support_bound)
 

@@ -745,28 +745,3 @@ def minimize(g: TermGraph) -> TermGraph:
             case ("app", f, a):
                 nodes[c] = ("app", cls[f], cls[a])
     return TermGraph(nodes, cls[g.root])
-
-
-# ---------------------------------------------------------------------------
-# Direct μ-term unfolding (oracle for graph_of + truncate)
-
-
-def unfold_muterm(t: MuTerm, depth: int) -> FiniteTerm:
-    """Unfold by substituting Mu bodies for refs, cutting at the given depth."""
-
-    def go(t: MuTerm, env: dict[str, MuTerm], d: int) -> FiniteTerm:
-        if d <= 0:
-            return BOT
-        match t:
-            case Mu(l, b):
-                return go(b, {**env, l: t}, d)
-            case Ref(l):
-                return go(env[l], env, d)
-            case Var(_) | Bot():
-                return t
-            case Lam(x, b):
-                return Lam(x, go(b, env, d - 1))
-            case App(f, a):
-                return App(go(f, env, d - 1), go(a, env, d - 1))
-
-    return go(t, {}, depth)

@@ -11,6 +11,8 @@ from ratlam import (
     AppStep,
     Atom,
     BOT,
+    Bot,
+    ConcreteCoalgebra,
     FRESH,
     Lam,
     Mu,
@@ -26,8 +28,9 @@ from ratlam import (
     graph_of,
     parse_term,
     print_term,
+    swap,
 )
-from ratlam.terms import _bisim_from, _children, _label_key, minimize
+from ratlam.terms import FiniteTerm, MuTerm, _bisim_from, _children, _label_key, minimize
 
 # A corpus of small mu-terms.  Every identifier is written as an explicit
 # v<index> so that parsing with independent interners never collapses two
@@ -306,3 +309,53 @@ def _same_orbit_by_search(g: TermGraph, fvs, n1: int, n2: int) -> bool:
         _bisim_from(g, n1, g, n2, frozenset(zip(a1, image)))
         for image in itertools.permutations(a2)
     )
+
+
+# ---------------------------------------------------------------------------
+# Unfolding oracles: μ-terms by substituting Mu bodies for refs (for graph_of +
+# truncate), and coalgebras with globally fresh binder names (for c_construct).
+
+
+def unfold_muterm(t: MuTerm, depth: int) -> FiniteTerm:
+    """Unfold by substituting Mu bodies for refs, cutting at the given depth."""
+
+    def go(t: MuTerm, env: dict[str, MuTerm], d: int) -> FiniteTerm:
+        if d <= 0:
+            return BOT
+        match t:
+            case Mu(l, b):
+                return go(b, {**env, l: t}, d)
+            case Ref(l):
+                return go(env[l], env, d)
+            case Var(_) | Bot():
+                return t
+            case Lam(x, b):
+                return Lam(x, go(b, env, d - 1))
+            case App(f, a):
+                return App(go(f, env, d - 1), go(a, env, d - 1))
+
+    return go(t, {}, depth)
+
+
+def naive_unfold(conc: ConcreteCoalgebra, root, depth: int) -> FiniteTerm:
+    """Corecursive unfolding with globally fresh binder names; truncates at depth.
+
+    It never reuses a binder name, so it exercises none of c_construct's
+    name-pool bookkeeping.
+    """
+    top = max((a.index for a in root.support()), default=-1)
+    counter = itertools.count(top + conc.support_bound + 2)
+
+    def go(e, d: int) -> FiniteTerm:
+        if d <= 0:
+            return BOT
+        match conc.step_fn(e):
+            case ("var", a):
+                return Var(a)
+            case ("app", l, r):
+                return App(go(l, d - 1), go(r, d - 1))
+            case ("lam", v, body):
+                u = Atom(next(counter))
+                return Lam(u, go(body.act(swap(v, u)), d - 1))
+
+    return go(root, depth)

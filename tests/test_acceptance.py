@@ -30,7 +30,6 @@ from ratlam import (
     graph_of,
     graph_to_coalgebra,
     instantiate,
-    naive_unfold,
     orbit_count,
     parse_term,
     rsigma_count,
@@ -45,6 +44,7 @@ from ratlam.nominal import IDENTITY
 
 from conftest import (
     CORPUS,
+    naive_unfold,
     random_perm,
     random_symbolic_coalgebra,
     random_term_graph,

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -30,7 +31,6 @@ from ratlam import (
     graph_of,
     graph_to_coalgebra,
     instantiate,
-    naive_unfold,
     orbit_count,
     parse_coalgebra,
     parse_root,
@@ -38,23 +38,18 @@ from ratlam import (
     print_coalgebra,
     rsigma_count,
     size_bound,
+    subst_rational,
     subtree_count,
     truncate,
     validate_coalgebra,
 )
 from ratlam import coalgebra
-from ratlam.coalgebra import (
-    ConcreteStepAbs,
-    ConcreteStepApp,
-    ConcreteStepVar,
-    _classes,
-    _free_order,
-    _orbit_classes,
-)
+from ratlam.coalgebra import _classes, _free_order, _orbit_classes
 
 from conftest import (
     CORPUS,
     _same_orbit_by_search,
+    naive_unfold,
     orbit_count_by_search,
     random_finite_term,
     random_perm,
@@ -117,6 +112,11 @@ def test_stabilizer_well_definedness():
     # so is abstracting a fresh name over the same unordered pair
     good2, _ = _single(u, AbsStep(FRESH, "u", (0, 1)), (Atom(0), Atom(1)))
     validate_coalgebra(good2)
+    # and binding a slot, up to α: the swap turns λv0. w(v0) into λv1. w(v1)
+    w = OrbitSchema("w", 1)
+    validate_coalgebra(SymbolicCoalgebra(
+        OrbitSet((u, w)), {"u": AbsStep(0, "w", (0,)), "w": VarStep(0)}
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +126,12 @@ def test_stabilizer_well_definedness():
 def test_instantiate_pair_steps():
     sym, root = gen_pair()
     conc = instantiate(sym)
-    step = conc.step_fn(root)
-    assert isinstance(step, ConcreteStepApp)
-    assert step.left.atoms == (Atom(0),)
-    assert step.right.atoms == (Atom(1),)
+    kind, left, right = conc.step_fn(root)
+    assert kind == "app"
+    assert left.atoms == (Atom(0),)
+    assert right.atoms == (Atom(1),)
     var = sym.element("var", (Atom(7),))
-    assert conc.step_fn(var) == ConcreteStepVar(Atom(7))
+    assert conc.step_fn(var) == ("var", Atom(7))
 
 
 def test_instantiate_fresh_binder_is_least_fresh():
@@ -142,10 +142,10 @@ def test_instantiate_fresh_binder_is_least_fresh():
         {"o0": AbsStep(FRESH, "o1", (FRESH,)), "o1": VarStep(0)},
     )
     conc = instantiate(sym)
-    step = conc.step_fn(OrbitElement(o0, ()))
-    assert isinstance(step, ConcreteStepAbs)
-    assert step.binder == Atom(0)
-    assert step.body.atoms == (Atom(0),)
+    kind, binder, body = conc.step_fn(OrbitElement(o0, ()))
+    assert kind == "lam"
+    assert binder == Atom(0)
+    assert body.atoms == (Atom(0),)
     # the whole thing unfolds to the identity function
     g = c_construct(conc, OrbitElement(o0, ()), sym.carrier)
     assert alpha_bisim(g, graph_of(parse_term(r"\x. x")))
@@ -193,7 +193,7 @@ def test_binder_reuse_tower():
 
 def test_support_too_large():
     o = OrbitSchema("o", 2)
-    conc = ConcreteCoalgebra(lambda e: ConcreteStepVar(e.atoms[0]), support_bound=1)
+    conc = ConcreteCoalgebra(lambda e: ("var", e.atoms[0]), support_bound=1)
     with pytest.raises(SupportTooLarge):
         c_construct(conc, OrbitElement(o, (Atom(0), Atom(1))))
 
@@ -201,9 +201,43 @@ def test_support_too_large():
 def test_escapes_carrier():
     o = OrbitSchema("o", 1)
     stray = OrbitElement(o, (Atom(9),))
-    conc = ConcreteCoalgebra(lambda e: ConcreteStepApp(stray, stray), support_bound=1)
+    conc = ConcreteCoalgebra(lambda e: ("app", stray, stray), support_bound=1)
     with pytest.raises(EscapesCarrier):
         c_construct(conc, OrbitElement(o, (Atom(0),)), OrbitSet((o,)))
+
+
+def test_rejects_a_step_that_is_not_a_label():
+    o = OrbitSchema("o", 0)
+    conc = ConcreteCoalgebra(lambda e: ("bot",), support_bound=0)
+    with pytest.raises(InvalidCoalgebra):
+        c_construct(conc, OrbitElement(o, ()))
+
+
+# μr. λv0. v0 (v1 r) [v1 := v0 v2]: the binder v0 is free in the replacement
+_SUBST_CASE = (graph_of(parse_term("mu r. \\v0. v0 (v1 #r)")), Atom(1),
+               graph_of(parse_term("v0 v2")))
+
+
+def test_exact_outputs():
+    a0, a1, a2, a3 = (Atom(i) for i in range(4))
+    sym, root = gen_pair()
+    conc = instantiate(sym)
+    g = c_construct(conc, root, sym.carrier)
+    assert g.nodes == {
+        0: ("var", a0), 1: ("var", a1), 2: ("var", a2),
+        3: ("app", 0, 1), 4: ("app", 0, 2), 5: ("app", 1, 0),
+        6: ("app", 1, 2), 7: ("app", 2, 0), 8: ("app", 2, 1),
+    }
+    assert g.root == 3
+    g = c_construct(conc, root)
+    assert g.nodes == {0: ("app", 1, 2), 1: ("var", a0), 2: ("var", a1)}
+    assert g.root == 0
+    g = subst_rational(*_SUBST_CASE)  # so the binder is renamed to v3
+    assert g.nodes == {
+        0: ("lam", a3, 1), 1: ("app", 2, 3), 2: ("var", a3), 3: ("app", 4, 0),
+        4: ("app", 5, 6), 5: ("var", a0), 6: ("var", a2),
+    }
+    assert g.root == 0
 
 
 def test_construction_agrees_with_naive_unfolding():
@@ -260,6 +294,33 @@ def test_rsigma_counts_small():
     assert rsigma_count(3) == 88
     assert subtree_count(gen_rsigma(1)) == 3
     assert subtree_count(gen_rsigma(2)) == 8
+    # the generator shares every subtree: one node per distinct subtree
+    assert [len(gen_rsigma(L).nodes) for L in (1, 2, 3)] == [3, 8, 88]
+
+
+def _construct_pair(enumerative: bool):
+    sym, root = gen_pair()
+    return c_construct(instantiate(sym), root, sym.carrier if enumerative else None)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gen_rsigma(1),
+    lambda: gen_rsigma(2),
+    lambda: gen_rsigma(3),
+    lambda: _construct_pair(enumerative=True),
+    lambda: _construct_pair(enumerative=False),
+    lambda: subst_rational(*_SUBST_CASE),
+], ids=["rsigma-1", "rsigma-2", "rsigma-3", "c_construct-enum", "c_construct-reach", "subst"])
+def test_coalgebra_calls_leave_no_reference_cycles(call):
+    # a cycle through a recursive closure would keep the call's memo and
+    # node dict alive until the cyclic collector next runs
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_rsigma_rejects_bad_levels():

@@ -2,7 +2,6 @@ import random
 
 from ratlam import (
     Atom,
-    InB,
     InTriple,
     Lam,
     Var,
@@ -19,15 +18,14 @@ from ratlam import (
     truncate,
 )
 from ratlam.coalgebra import (
-    ConcreteStepAbs,
-    ConcreteStepApp,
-    ConcreteStepVar,
+    OrbitElement,
     OrbitSchema,
     OrbitSet,
     SymbolicCoalgebra,
     VarStep,
 )
 from ratlam.substitution import subst_coalgebra
+from ratlam.terms import _children
 
 from conftest import random_perm, random_term_graph
 
@@ -183,20 +181,10 @@ def test_carrier_choice_independence():
 # State-space bound
 
 
-def _state_children(step):
-    match step:
-        case ConcreteStepVar():
-            return []
-        case ConcreteStepAbs(body=b):
-            return [b]
-        case ConcreteStepApp(left=l, right=r):
-            return [l, r]
-
-
 def _state_pattern(state):
     """Orbit invariant: schemas plus the atom-coincidence pattern."""
     match state:
-        case InB(elem=e):
+        case OrbitElement() as e:
             atoms, tag = e.atoms, ("B", e.schema.id)
         case InTriple(elem=x, marker=w, repl=y):
             atoms = x.atoms + (w,) + y.atoms
@@ -222,7 +210,7 @@ def test_output_size_within_orbit_bound():
         seen = {root}
         stack = [root]
         while stack:
-            for child in _state_children(conc.step_fn(stack.pop())):
+            for child in _children(conc.step_fn(stack.pop())):
                 if child not in seen:
                     seen.add(child)
                     stack.append(child)

@@ -26,7 +26,6 @@ from ratlam import (
     rsigma_count,
     subtree_count,
     truncate,
-    unfold_muterm,
 )
 from ratlam.terms import _bisim_from, _classes, _label_key
 
@@ -38,6 +37,7 @@ from conftest import (
     random_term_graph,
     reach_by_closure,
     reachable_by_stack,
+    unfold_muterm,
 )
 
 # ---------------------------------------------------------------------------
