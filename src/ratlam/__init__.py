@@ -32,7 +32,6 @@ from .terms import (
     UnguardedMu,
     Var,
     alpha_bisim,
-    alpha_eq_finite,
     fv,
     graph_of,
     minimize,
@@ -44,14 +43,11 @@ from .terms import (
 )
 from .coalgebra import (
     FRESH,
-    AbsStep,
-    AppStep,
     ConcreteCoalgebra,
     EscapesCarrier,
     InvalidCoalgebra,
     SupportTooLarge,
     SymbolicCoalgebra,
-    VarStep,
     c_construct,
     gen_pair,
     gen_rsigma,

@@ -1,11 +1,12 @@
 """Orbit-finite coalgebras for the λ-tree functor and the finite construction.
 
 A symbolic coalgebra gives the structure map schema-wise: each orbit gets a
-step template over its slots.  Instantiating yields a concrete coalgebra on
-elements, whose step is a term-graph label with carrier elements in place of
-node ids: `("var", a)`, `("lam", v, elem)` or `("app", l, r)`.  `c_construct`
-restricts it to elements supported inside a name pool of size m+1, producing
-a finite term graph that unfolds to the represented rational λ-tree.
+step view, a λ-tree label over its slots.  Instantiating yields a concrete
+coalgebra on elements, whose step is a term-graph label with carrier elements
+in place of node ids: `("var", a)`, `("lam", v, elem)` or `("app", l, r)`.
+`c_construct` restricts it to elements supported inside a name pool of size
+m+1, producing a finite term graph that unfolds to the represented rational
+λ-tree.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Callable
 
-from .nominal import Atom, abstraction_eq, fresh_atom, fresh_atoms, swap
+from .nominal import Atom, Perm, abstraction_eq, fresh_atom, fresh_atoms, swap
 from .orbits import (
     OrbitElement,
     OrbitSchema,
@@ -26,42 +27,25 @@ from .orbits import (
     enumerate_support_in,
     validate_orbit_set,
 )
-from .terms import TermGraph, _children, _classes
+from .terms import _ATOM_NAME, TermGraph, _children, _classes
 
 # FRESH marker in step views
 FRESH = None
 
-# slot assignment: tuple over target slots; each entry a source slot index or FRESH
-Assignment = tuple
-
-
-@dataclass(frozen=True)
-class VarStep:
-    source: int  # slot index
-
-
-@dataclass(frozen=True)
-class AbsStep:
-    binder: int | None  # slot index, or FRESH
-    target_schema: str
-    assignment: Assignment
-
-
-@dataclass(frozen=True)
-class AppStep:
-    left_schema: str
-    left_assignment: Assignment
-    right_schema: str
-    right_assignment: Assignment
-
-
-StepView = VarStep | AbsStep | AppStep
-
 
 @dataclass(frozen=True)
 class SymbolicCoalgebra:
+    """An orbit-finite coalgebra given schema-wise.
+
+    Each orbit's step is a λ-tree label over its slots, with a target
+    `(schema id, assignment)` where a graph label has a node id:
+    `("var", slot)`, `("lam", slot | FRESH, target)` or
+    `("app", target, target)`.  An assignment gives, for each slot of the
+    target, a slot of the orbit, or FRESH for the λ's binder.
+    """
+
     carrier: OrbitSet
-    steps: dict[str, StepView]
+    steps: dict[str, tuple]
 
     def element(self, schema_id: str, atoms) -> OrbitElement:
         return OrbitElement(self.carrier[schema_id], tuple(atoms))
@@ -99,67 +83,66 @@ class EscapesCarrier(ValueError):
 # Validation and instantiation
 
 
-def _check_assignment(schema: OrbitSchema, target: OrbitSchema, assignment: Assignment,
-                      allow_fresh: bool):
-    if len(assignment) != target.arity:
+def _check_target(c: SymbolicCoalgebra, schema: OrbitSchema, target: tuple,
+                  allow_fresh: bool):
+    sid, assignment = target
+    if len(assignment) != c.carrier[sid].arity:
         raise InvalidCoalgebra(
             f"step of {schema.id!r}: assignment length {len(assignment)} "
-            f"does not match arity of {target.id!r}"
+            f"does not match arity of {sid!r}"
         )
     slots = [s for s in assignment if s is not FRESH]
     if len(assignment) - len(slots) > (1 if allow_fresh else 0):
         raise InvalidCoalgebra(f"step of {schema.id!r}: more than one FRESH slot")
-    if not allow_fresh and len(slots) != len(assignment):
-        raise InvalidCoalgebra(f"step of {schema.id!r}: FRESH not allowed here")
     for s in slots:
-        if not 0 <= s < schema.arity:
+        if s not in range(schema.arity):
             raise InvalidCoalgebra(f"step of {schema.id!r}: slot {s} out of range")
     if len(set(slots)) != len(slots):
         raise InvalidCoalgebra(f"step of {schema.id!r}: assignment not injective")
 
 
+def _target_element(c: SymbolicCoalgebra, target: tuple, atoms: tuple[Atom, ...],
+                    fresh: Atom | None = None) -> OrbitElement:
+    """The element a target names at the atoms, with `fresh` in a FRESH slot."""
+    sid, assignment = target
+    return OrbitElement(c.carrier[sid],
+                        tuple([fresh if s is FRESH else atoms[s] for s in assignment]))
+
+
 def _step_of_tuple(c: SymbolicCoalgebra, schema: OrbitSchema, atoms: tuple[Atom, ...]):
     """Instantiate the schema's step view at a concrete atom tuple."""
-    view = c.steps[schema.id]
-    match view:
-        case VarStep(source=src):
+    match c.steps[schema.id]:
+        case ("var", src):
             return ("var", atoms[src])
-        case AppStep(left_schema=ls, left_assignment=la,
-                     right_schema=rs, right_assignment=ra):
-            left = OrbitElement(c.carrier[ls], tuple(atoms[s] for s in la))
-            right = OrbitElement(c.carrier[rs], tuple(atoms[s] for s in ra))
-            return ("app", left, right)
-        case AbsStep(binder=binder, target_schema=ts, assignment=asg):
-            if binder is FRESH:
-                v = fresh_atom(atoms)
-            else:
-                v = atoms[binder]
-            body = OrbitElement(
-                c.carrier[ts], tuple(v if s is FRESH else atoms[s] for s in asg)
-            )
-            return ("lam", v, body)
-    raise InvalidCoalgebra(f"unknown step view {view!r}")
+        case ("app", left, right):
+            return ("app", _target_element(c, left, atoms), _target_element(c, right, atoms))
+        case ("lam", binder, body):
+            v = fresh_atom(atoms) if binder is FRESH else atoms[binder]
+            return ("lam", v, _target_element(c, body, atoms, v))
 
 
 def validate_coalgebra(c: SymbolicCoalgebra) -> SymbolicCoalgebra:
-    """Check slot sanity and well-definedness under every stabilizer member."""
+    """Check the step shapes, slot sanity and well-definedness under every
+    stabilizer member."""
     validate_orbit_set(c.carrier.schemas)
+    if stray := c.steps.keys() - {schema.id for schema in c.carrier}:
+        raise InvalidCoalgebra(f"step for undeclared orbit {min(stray)!r}")
     for schema in c.carrier:
         if schema.id not in c.steps:
             raise InvalidCoalgebra(f"orbit {schema.id!r} has no step")
-        view = c.steps[schema.id]
-        match view:
-            case VarStep(source=src):
-                if not 0 <= src < schema.arity:
+        match c.steps[schema.id]:
+            case ("var", int(src)):
+                if src not in range(schema.arity):
                     raise InvalidCoalgebra(f"step of {schema.id!r}: slot {src} out of range")
-            case AppStep(left_schema=ls, left_assignment=la,
-                         right_schema=rs, right_assignment=ra):
-                _check_assignment(schema, c.carrier[ls], la, allow_fresh=False)
-                _check_assignment(schema, c.carrier[rs], ra, allow_fresh=False)
-            case AbsStep(binder=b, target_schema=ts, assignment=asg):
-                if b is not FRESH and not 0 <= b < schema.arity:
+            case ("app", (str(), tuple()) as left, (str(), tuple()) as right):
+                _check_target(c, schema, left, allow_fresh=False)
+                _check_target(c, schema, right, allow_fresh=False)
+            case ("lam", None | int() as b, (str(), tuple()) as body):
+                if b is not FRESH and b not in range(schema.arity):
                     raise InvalidCoalgebra(f"step of {schema.id!r}: binder slot {b} out of range")
-                _check_assignment(schema, c.carrier[ts], asg, allow_fresh=True)
+                _check_target(c, schema, body, allow_fresh=True)
+            case view:
+                raise InvalidCoalgebra(f"step of {schema.id!r} is not a step view: {view!r}")
         # well-definedness on the stabilizer quotient, checked exhaustively
         base = tuple(Atom(i) for i in range(schema.arity))
         s0 = _step_of_tuple(c, schema, base)
@@ -260,41 +243,46 @@ def c_construct(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) 
 def graph_to_coalgebra(g: TermGraph) -> tuple[SymbolicCoalgebra, OrbitElement]:
     """Present a term graph as an orbit-finite coalgebra plus a root element.
 
-    Each reachable node becomes one trivial-stabilizer orbit whose slots are
-    the node's free variables in sorted order.
+    Each reachable node n becomes one trivial-stabilizer orbit `n<n>` whose
+    slots are the node's free variables in sorted order.
     """
     fvs = g.fv_map()
     order = g.reachable()
-    schemas = {}
+    ids = {n: f"n{n}" for n in order}
+    slots = {n: tuple(sorted(fvs[n])) for n in order}
+    steps: dict[str, tuple] = {}
     for n in order:
-        slots = tuple(sorted(fvs[n]))
-        schemas[n] = (OrbitSchema(f"n{n}", len(slots)), slots)
+        view = _step_view(g.nodes[n], slots[n], slots, ids)
+        if view == ("bot",):
+            raise ValueError("⊥ nodes have no step in the λ-tree functor")
+        steps[ids[n]] = view
+    carrier = OrbitSet(tuple(OrbitSchema(ids[n], len(slots[n])) for n in order))
+    root = OrbitElement(carrier[ids[g.root]], slots[g.root])
+    return SymbolicCoalgebra(carrier, steps), root
 
-    def slot_of(n: int, a: Atom) -> int:
-        return schemas[n][1].index(a)
 
-    steps: dict[str, StepView] = {}
-    for n in order:
-        match g.nodes[n]:
-            case ("var", a):
-                steps[f"n{n}"] = VarStep(slot_of(n, a))
-            case ("bot",):
-                raise ValueError("⊥ nodes have no step in the λ-tree functor")
-            case ("app", f, a):
-                steps[f"n{n}"] = AppStep(
-                    f"n{f}", tuple(slot_of(n, b) for b in schemas[f][1]),
-                    f"n{a}", tuple(slot_of(n, b) for b in schemas[a][1]),
-                )
-            case ("lam", x, b):
-                asg = tuple(
-                    FRESH if a == x else slot_of(n, a) for a in schemas[b][1]
-                )
-                steps[f"n{n}"] = AbsStep(FRESH, f"n{b}", asg)
+def _step_view(label: tuple, slots: tuple[Atom, ...], child_slots: dict,
+               ids: dict[int, str]) -> tuple:
+    """A graph node's label as a step view over `slots`, its free names.
 
-    carrier = OrbitSet(tuple(schemas[n][0] for n in order))
-    sym = SymbolicCoalgebra(carrier, steps)
-    root = OrbitElement(schemas[g.root][0], schemas[g.root][1])
-    return sym, root
+    A child c becomes the target `(ids.get(c), the positions in slots of
+    child_slots[c])`, and a λ's binder, which is not free in the λ, is FRESH.
+    A ⊥ label has no step view and is returned as it is.
+    """
+    pos = {a: i for i, a in enumerate(slots)}
+
+    def target(c: int) -> tuple:
+        return ids.get(c), tuple([pos[a] for a in child_slots[c]])
+
+    match label:
+        case ("var", a):
+            return ("var", pos[a])
+        case ("lam", x, b):
+            pos[x] = FRESH
+            return ("lam", FRESH, target(b))
+        case ("app", f, a):
+            return ("app", target(f), target(a))
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +294,8 @@ def gen_pair() -> tuple[SymbolicCoalgebra, OrbitElement]:
     var = OrbitSchema("var", 1)
     pair = OrbitSchema("pair", 2)
     carrier = OrbitSet((var, pair))
-    steps = {
-        "var": VarStep(0),
-        "pair": AppStep("var", (0,), "var", (1,)),
-    }
-    sym = SymbolicCoalgebra(carrier, steps)
-    return sym, OrbitElement(pair, (Atom(0), Atom(1)))
+    steps = {"var": ("var", 0), "pair": ("app", ("var", (0,)), ("var", (1,)))}
+    return SymbolicCoalgebra(carrier, steps), OrbitElement(pair, (Atom(0), Atom(1)))
 
 
 def gen_rsigma(levels: int) -> TermGraph:
@@ -375,8 +359,10 @@ def orbit_count(g: TermGraph) -> int:
 
     Two subtrees are in the same orbit iff some renaming of their free
     variables makes them α-equivalent.  That is the coarsest partition stable
-    under the slot key: a node's kind plus each child's free order written as
-    positions in the node's own, FRESH for a λ's binder.  A renaming carries
+    under the node's step view over its `_free_order` slots, as
+    `graph_to_coalgebra` presents it with the targets' orbits left to the
+    refinement: the kind, each child's free order written as positions in
+    the node's own, FRESH for a λ's binder.  A renaming carries
     `_free_order` along, so orbits are stable; in a stable partition, mapping
     one node's order onto the other's is an α-bisimulation.  Cost: one
     `_free_order` per reachable node plus one O(n log n) refinement.
@@ -385,18 +371,12 @@ def orbit_count(g: TermGraph) -> int:
 
 
 def _orbit_classes(g: TermGraph) -> dict[int, int]:
-    """Orbit equivalence on the reachable nodes, by the slot key, as node → class."""
+    """Orbit equivalence on the reachable nodes, by the step view over the
+    free orders, as node → class."""
     fvs = g.fv_map()
     orders = {n: _free_order(g, fvs, n) for n in g.reachable()}
-
-    def slot_key(n: int) -> tuple:
-        label = g.nodes[n]
-        pos = {a: i for i, a in enumerate(orders[n])}
-        if label[0] == "lam":
-            pos[label[1]] = FRESH
-        return (label[0], *(tuple([pos[a] for a in orders[c]]) for c in _children(label)))
-
-    return _classes(g, slot_key)
+    # no target ids: the refinement keys on the children's classes instead
+    return _classes(g, lambda n: _step_view(g.nodes[n], orders[n], orders, {}))
 
 
 def _free_order(g: TermGraph, fvs, n: int) -> tuple[Atom, ...]:
@@ -435,30 +415,32 @@ def _free_order(g: TermGraph, fvs, n: int) -> tuple[Atom, ...]:
 _ORBIT_RE = re.compile(r"orbit\s+(\S+)\s+arity=(\d+)\s+stab=(.+)")
 _STEP_RE = re.compile(r"step\s+(\S+)\s*=\s*(var|app|abs)\s*(.*)")
 _TARGET_RE = re.compile(r"(\S+?)\(([^)]*)\)")
+_CYCLES_RE = re.compile(r"(\s*\(\s*[0-9]+(\s+[0-9]+)*\s*\))+\s*")
 
 
-def _parse_slot_perm(text: str, arity: int) -> tuple[int, ...]:
+def _parse_slot_perm(text: str, sid: str, arity: int) -> tuple[int, ...]:
+    """A product of cycles over the 1-based slots, as a slot permutation."""
+    if not _CYCLES_RE.fullmatch(text):
+        raise InvalidCoalgebra(f"orbit {sid!r}: stab member {text!r} is not a product of cycles")
     perm = list(range(arity))
     for cyc in re.findall(r"\(([^)]*)\)", text):
         entries = [int(x) - 1 for x in cyc.split()]
+        if any(src not in range(arity) for src in entries):
+            raise InvalidCoalgebra(f"orbit {sid!r}: stab member {text!r} names a slot "
+                                   f"outside 1..{arity}")
         for i, src in enumerate(entries):
             perm[src] = entries[(i + 1) % len(entries)]
     return tuple(perm)
 
 
-def _parse_assignment(text: str) -> Assignment:
-    if not text.strip():
-        return ()
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        out.append(FRESH if part == "fresh" else int(part) - 1)
-    return tuple(out)
+def _parse_target(sid: str, text: str) -> tuple:
+    slots = [s.strip() for s in text.split(",")] if text.strip() else []
+    return sid, tuple([FRESH if s == "fresh" else int(s) - 1 for s in slots])
 
 
 def parse_coalgebra(text: str) -> SymbolicCoalgebra:
     schemas: list[OrbitSchema] = []
-    steps: dict[str, StepView] = {}
+    steps: dict[str, tuple] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -468,70 +450,60 @@ def parse_coalgebra(text: str) -> SymbolicCoalgebra:
             if stab == "trivial":
                 schema = OrbitSchema(sid, arity)
             else:
-                perms = {_parse_slot_perm(p, arity) for p in stab.split(";")}
+                perms = {_parse_slot_perm(p, sid, arity) for p in stab.split(";")}
                 perms.add(tuple(range(arity)))
                 schema = OrbitSchema(sid, arity, frozenset(perms))
             schemas.append(schema)
         elif m := _STEP_RE.fullmatch(line):
             sid, kind, rest = m.group(1), m.group(2), m.group(3).strip()
+            if sid in steps:
+                raise InvalidCoalgebra(f"second step for orbit {sid!r}: {line!r}")
             if kind == "var":
-                steps[sid] = VarStep(int(rest) - 1)
+                steps[sid] = ("var", int(rest) - 1)
             elif kind == "app":
                 targets = _TARGET_RE.findall(rest)
                 if len(targets) != 2:
                     raise InvalidCoalgebra(f"bad app step: {line!r}")
-                (ls, la), (rs, ra) = targets
-                steps[sid] = AppStep(ls, _parse_assignment(la), rs, _parse_assignment(ra))
+                steps[sid] = ("app", _parse_target(*targets[0]), _parse_target(*targets[1]))
             else:
                 parts = rest.split(None, 1)
                 if len(parts) != 2:
                     raise InvalidCoalgebra(f"bad abs step: {line!r}")
                 binder = FRESH if parts[0] == "fresh" else int(parts[0]) - 1
-                tm = _TARGET_RE.fullmatch(parts[1].strip())
-                if not tm:
+                if not (tm := _TARGET_RE.fullmatch(parts[1])):
                     raise InvalidCoalgebra(f"bad abs step: {line!r}")
-                steps[sid] = AbsStep(binder, tm.group(1), _parse_assignment(tm.group(2)))
+                steps[sid] = ("lam", binder, _parse_target(*tm.groups()))
         else:
             raise InvalidCoalgebra(f"unrecognized line: {line!r}")
     return SymbolicCoalgebra(validate_orbit_set(schemas), steps)
 
 
+def _target_str(target: tuple) -> str:
+    sid, assignment = target
+    return f"{sid}({','.join('fresh' if s is FRESH else str(s + 1) for s in assignment)})"
+
+
+def _cycles_str(g: tuple[int, ...]) -> str:
+    """A slot permutation as a product of cycles over the 1-based slots."""
+    p = Perm({Atom(i + 1): Atom(j + 1) for i, j in enumerate(g)})
+    return "".join(f"({' '.join(str(a.index) for a in cyc)})" for cyc in p.cycles())
+
+
 def print_coalgebra(c: SymbolicCoalgebra) -> str:
-    def cycle_str(g: tuple[int, ...]) -> str:
-        seen, cycles = set(), []
-        for i in range(len(g)):
-            if i in seen or g[i] == i:
-                seen.add(i)
-                continue
-            cyc = [i]
-            seen.add(i)
-            j = g[i]
-            while j != i:
-                cyc.append(j)
-                seen.add(j)
-                j = g[j]
-            cycles.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
-        return "".join(cycles)
-
-    def asg_str(asg: Assignment) -> str:
-        return ",".join("fresh" if s is FRESH else str(s + 1) for s in asg)
-
     lines = []
     for s in c.carrier:
-        nontrivial = [g for g in sorted(s.stabilizer) if g != tuple(range(s.arity))]
-        stab = ";".join(cycle_str(g) for g in nontrivial) if nontrivial else "trivial"
-        lines.append(f"orbit {s.id} arity={s.arity} stab={stab}")
+        ident = tuple(range(s.arity))
+        stab = ";".join(_cycles_str(g) for g in sorted(s.stabilizer) if g != ident)
+        lines.append(f"orbit {s.id} arity={s.arity} stab={stab or 'trivial'}")
     for s in c.carrier:
-        view = c.steps[s.id]
-        match view:
-            case VarStep(source=src):
+        match c.steps[s.id]:
+            case ("var", src):
                 lines.append(f"step {s.id} = var {src + 1}")
-            case AppStep(left_schema=ls, left_assignment=la,
-                         right_schema=rs, right_assignment=ra):
-                lines.append(f"step {s.id} = app {ls}({asg_str(la)}) {rs}({asg_str(ra)})")
-            case AbsStep(binder=b, target_schema=ts, assignment=asg):
-                bs = "fresh" if b is FRESH else str(b + 1)
-                lines.append(f"step {s.id} = abs {bs} {ts}({asg_str(asg)})")
+            case ("app", left, right):
+                lines.append(f"step {s.id} = app {_target_str(left)} {_target_str(right)}")
+            case ("lam", b, body):
+                binder = "fresh" if b is FRESH else b + 1
+                lines.append(f"step {s.id} = abs {binder} {_target_str(body)}")
     return "\n".join(lines) + "\n"
 
 
@@ -543,7 +515,7 @@ def parse_root(text: str, c: SymbolicCoalgebra) -> OrbitElement:
     names = [a.strip() for a in atoms.split(",")] if atoms.strip() else []
     parsed = []
     for name in names:
-        am = re.fullmatch(r"v(\d+)", name)
+        am = re.fullmatch(_ATOM_NAME, name)
         if not am:
             raise InvalidCoalgebra(f"bad atom {name!r} in root element")
         parsed.append(Atom(int(am.group(1))))

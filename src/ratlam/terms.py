@@ -1,8 +1,7 @@
 """Finite λ⊥-terms, μ-term syntax, rational term graphs and α-equivalence.
 
-Two decision procedures for α-equivalence live here: the structural one on
-finite terms (via abstraction equality at each binder) and the bisimulation
-one on term graphs, which decides α-equivalence of the infinite unfoldings.
+α-equivalence is decided on term graphs, by a bisimulation that decides it
+for the infinite unfoldings; a finite term is compared through its graph.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .nominal import Atom, Perm, abstraction_eq
+from .nominal import Atom, Perm
 
 # ---------------------------------------------------------------------------
 # Term syntax
@@ -311,27 +310,28 @@ def _atom_name(a: Atom) -> str:
 
 
 def print_term(t: MuTerm) -> str:
-    def go(t: MuTerm, ctx: str) -> str:
-        # ctx: 'top' (binder bodies), 'fn' (left of application), 'arg'
-        match t:
-            case Var(a):
-                return _atom_name(a)
-            case Bot():
-                return "_|_"
-            case Ref(l):
-                return f"#{l}"
-            case Lam(x, b):
-                s = f"\\{_atom_name(x)}. {go(b, 'top')}"
-                return s if ctx == "top" else f"({s})"
-            case Mu(l, b):
-                s = f"mu {l}. {go(b, 'top')}"
-                return s if ctx == "top" else f"({s})"
-            case App(f, a):
-                s = f"{go(f, 'fn')} {go(a, 'arg')}"
-                return f"({s})" if ctx == "arg" else s
-        raise TypeError(f"not a term: {t!r}")
+    return _print(t, "top")
 
-    return go(t, "top")
+
+def _print(t: MuTerm, ctx: str) -> str:
+    # ctx: 'top' (binder bodies), 'fn' (left of application), 'arg'
+    match t:
+        case Var(a):
+            return _atom_name(a)
+        case Bot():
+            return "_|_"
+        case Ref(l):
+            return f"#{l}"
+        case Lam(x, b):
+            s = f"\\{_atom_name(x)}. {_print(b, 'top')}"
+            return s if ctx == "top" else f"({s})"
+        case Mu(l, b):
+            s = f"mu {l}. {_print(b, 'top')}"
+            return s if ctx == "top" else f"({s})"
+        case App(f, a):
+            s = f"{_print(f, 'fn')} {_print(a, 'arg')}"
+            return f"({s})" if ctx == "arg" else s
+    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -421,32 +421,29 @@ def _children(label: tuple) -> tuple[int, ...]:
 def graph_of(t: MuTerm) -> TermGraph:
     """One node per constructor; μ nodes are elided into back references."""
     nodes: dict[int, tuple] = {}
-    counter = itertools.count()
-
-    def go(t: MuTerm, env: dict[str, int], nid: int | None = None) -> int:
-        match t:
-            case Mu(l, b):
-                if nid is None:
-                    nid = next(counter)
-                return go(b, {**env, l: nid}, nid)
-            case Ref(l):
-                return env[l]
-            case _:
-                if nid is None:
-                    nid = next(counter)
-                match t:
-                    case Var(a):
-                        nodes[nid] = ("var", a)
-                    case Bot():
-                        nodes[nid] = ("bot",)
-                    case Lam(x, b):
-                        nodes[nid] = ("lam", x, go(b, env))
-                    case App(f, a):
-                        nodes[nid] = ("app", go(f, env), go(a, env))
-                return nid
-
-    root = go(t, {})
+    root = _graph_node(t, {}, nodes, itertools.count())
     return TermGraph(nodes, root)
+
+
+def _graph_node(t: MuTerm, env: dict[str, int], nodes: dict[int, tuple], counter,
+                nid: int | None = None) -> int:
+    if isinstance(t, Ref):
+        return env[t.label]
+    if nid is None:
+        nid = next(counter)
+    match t:
+        case Mu(l, b):
+            return _graph_node(b, {**env, l: nid}, nodes, counter, nid)
+        case Var(a):
+            nodes[nid] = ("var", a)
+        case Bot():
+            nodes[nid] = ("bot",)
+        case Lam(x, b):
+            nodes[nid] = ("lam", x, _graph_node(b, env, nodes, counter))
+        case App(f, a):
+            nodes[nid] = ("app", _graph_node(f, env, nodes, counter),
+                          _graph_node(a, env, nodes, counter))
+    return nid
 
 
 def print_graph(g: TermGraph) -> str:
@@ -468,27 +465,23 @@ def print_graph(g: TermGraph) -> str:
         elif kind == _EDGE:
             shared.add(m)
     labels = {n: f"r{i}" for i, n in enumerate(n for n in order if n in shared)}
+    return print_term(_mu_term(g, g.root, labels, set()))
 
-    emitted: set[int] = set()
 
-    def go(n: int) -> MuTerm:
-        if n in labels and n in emitted:
-            return Ref(labels[n])
-        emitted.add(n)
-        match g.nodes[n]:
-            case ("var", a):
-                body: MuTerm = Var(a)
-            case ("bot",):
-                body = BOT
-            case ("lam", x, b):
-                body = Lam(x, go(b))
-            case ("app", f, a):
-                body = App(go(f), go(a))
-        if n in labels:
-            return Mu(labels[n], body)
-        return body
-
-    return print_term(go(g.root))
+def _mu_term(g: TermGraph, n: int, labels: dict[int, str], emitted: set[int]) -> MuTerm:
+    if n in labels and n in emitted:
+        return Ref(labels[n])
+    emitted.add(n)
+    match g.nodes[n]:
+        case ("var", a):
+            body: MuTerm = Var(a)
+        case ("bot",):
+            body = BOT
+        case ("lam", x, b):
+            body = Lam(x, _mu_term(g, b, labels, emitted))
+        case ("app", f, a):
+            body = App(_mu_term(g, f, labels, emitted), _mu_term(g, a, labels, emitted))
+    return Mu(labels[n], body) if n in labels else body
 
 
 _ENTER, _EDGE, _EXIT = range(3)
@@ -529,46 +522,26 @@ def truncate(g: TermGraph, depth: int) -> FiniteTerm:
 
     The root sits at depth 0, so truncate(·, 0) is ⊥.
     """
-    memo: dict[tuple[int, int], FiniteTerm] = {}
-
-    def go(n: int, d: int) -> FiniteTerm:
-        if d <= 0:
-            return BOT
-        key = (n, d)
-        if key in memo:
-            return memo[key]
-        match g.nodes[n]:
-            case ("var", a):
-                out: FiniteTerm = Var(a)
-            case ("bot",):
-                out = BOT
-            case ("lam", x, b):
-                out = Lam(x, go(b, d - 1))
-            case ("app", f, a):
-                out = App(go(f, d - 1), go(a, d - 1))
-        memo[key] = out
-        return out
-
-    return go(g.root, depth)
+    return _truncate(g, g.root, depth, {})
 
 
-# ---------------------------------------------------------------------------
-# α-equivalence, finite terms
-
-
-def alpha_eq_finite(t1: FiniteTerm, t2: FiniteTerm) -> bool:
-    """α-equivalence of finite λ⊥-terms; ⊥ is equal only to ⊥."""
-    match (t1, t2):
-        case (Var(a), Var(b)):
-            return a == b
-        case (Bot(), Bot()):
-            return True
-        case (App(f1, a1), App(f2, a2)):
-            return alpha_eq_finite(f1, f2) and alpha_eq_finite(a1, a2)
-        case (Lam(x1, b1), Lam(x2, b2)):
-            return abstraction_eq(x1, b1, x2, b2, eq=alpha_eq_finite)
-        case _:
-            return False
+def _truncate(g: TermGraph, n: int, d: int, memo: dict[tuple[int, int], FiniteTerm]) -> FiniteTerm:
+    if d <= 0:
+        return BOT
+    key = (n, d)
+    if key in memo:
+        return memo[key]
+    match g.nodes[n]:
+        case ("var", a):
+            out: FiniteTerm = Var(a)
+        case ("bot",):
+            out = BOT
+        case ("lam", x, b):
+            out = Lam(x, _truncate(g, b, d - 1, memo))
+        case ("app", f, a):
+            out = App(_truncate(g, f, d - 1, memo), _truncate(g, a, d - 1, memo))
+    memo[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -595,39 +568,37 @@ def _bisim_from(g1: TermGraph, n1: int, g2: TermGraph, n2: int,
     assume-and-check with a memoized assumption set is a sound and complete
     decision procedure on the finite state space.
     """
-    fv1, fv2 = g1.fv_map(), g2.fv_map()
-    assumed: set[tuple] = set()
+    return _bisim_check(g1, g2, g1.fv_map(), g2.fv_map(), set(), n1, n2, rho0)
 
-    def check(n1: int, n2: int, rho: frozenset[tuple[Atom, Atom]]) -> bool:
-        state = (n1, n2, rho)
-        if state in assumed:
+
+def _bisim_check(g1: TermGraph, g2: TermGraph, fv1: dict, fv2: dict, assumed: set[tuple],
+                 n1: int, n2: int, rho: frozenset[tuple[Atom, Atom]]) -> bool:
+    state = (n1, n2, rho)
+    if state in assumed:
+        return True
+    dom = frozenset(a for a, _ in rho)
+    img = {b for _, b in rho}
+    if dom != fv1[n1] or img != fv2[n2] or len(img) != len(rho):
+        return False
+    assumed.add(state)
+    rmap = dict(rho)
+    match (g1.nodes[n1], g2.nodes[n2]):
+        case (("var", a), ("var", b)):
+            return rmap[a] == b
+        case (("bot",), ("bot",)):
             return True
-        dom = frozenset(a for a, _ in rho)
-        img = {b for _, b in rho}
-        if dom != fv1[n1] or img != fv2[n2] or len(img) != len(rho):
+        case (("app", f1, a1), ("app", f2, a2)):
+            return (_bisim_check(g1, g2, fv1, fv2, assumed, f1, f2, _restrict(rho, fv1[f1]))
+                    and _bisim_check(g1, g2, fv1, fv2, assumed, a1, a2, _restrict(rho, fv1[a1])))
+        case (("lam", x1, b1), ("lam", x2, b2)):
+            pairs = {(a, b) for a, b in rho if a in fv1[b1] and a != x1}
+            if any(b == x2 for _, b in pairs):
+                return False  # free name would be captured
+            if x1 in fv1[b1]:
+                pairs.add((x1, x2))
+            return _bisim_check(g1, g2, fv1, fv2, assumed, b1, b2, frozenset(pairs))
+        case _:
             return False
-        assumed.add(state)
-        rmap = dict(rho)
-        match (g1.nodes[n1], g2.nodes[n2]):
-            case (("var", a), ("var", b)):
-                return rmap[a] == b
-            case (("bot",), ("bot",)):
-                return True
-            case (("app", f1, a1), ("app", f2, a2)):
-                return check(f1, f2, _restrict(rho, fv1[f1])) and check(
-                    a1, a2, _restrict(rho, fv1[a1])
-                )
-            case (("lam", x1, b1), ("lam", x2, b2)):
-                pairs = {(a, b) for a, b in rho if a in fv1[b1] and a != x1}
-                if any(b == x2 for _, b in pairs):
-                    return False  # free name would be captured
-                if x1 in fv1[b1]:
-                    pairs.add((x1, x2))
-                return check(b1, b2, frozenset(pairs))
-            case _:
-                return False
-
-    return check(n1, n2, rho0)
 
 
 def _restrict(rho: frozenset[tuple[Atom, Atom]], dom: frozenset[Atom]):

@@ -6,9 +6,7 @@ import random
 import pytest
 
 from ratlam import (
-    AbsStep,
     App,
-    AppStep,
     Atom,
     BOT,
     Bot,
@@ -24,7 +22,7 @@ from ratlam import (
     SymbolicCoalgebra,
     TermGraph,
     Var,
-    VarStep,
+    abstraction_eq,
     graph_of,
     parse_term,
     print_term,
@@ -138,13 +136,14 @@ def random_symbolic_coalgebra(rng: random.Random):
             choices.append("abs")
         kind = rng.choice(choices)
         if kind == "var":
-            steps[f"o{i}"] = VarStep(rng.randrange(k))
+            steps[f"o{i}"] = ("var", rng.randrange(k))
         elif kind == "app":
             lt = rng.choice(app_targets)
             rt = rng.choice(app_targets)
-            steps[f"o{i}"] = AppStep(
-                f"o{lt}", injective_slots(k, arities[lt]),
-                f"o{rt}", injective_slots(k, arities[rt]),
+            steps[f"o{i}"] = (
+                "app",
+                (f"o{lt}", injective_slots(k, arities[lt])),
+                (f"o{rt}", injective_slots(k, arities[rt])),
             )
         else:
             t = rng.choice(abs_targets)
@@ -156,7 +155,7 @@ def random_symbolic_coalgebra(rng: random.Random):
                 asg = src[:pos] + (FRESH,) + src[pos:]
             else:
                 asg = injective_slots(k, j)
-            steps[f"o{i}"] = AbsStep(FRESH, f"o{t}", asg)
+            steps[f"o{i}"] = ("lam", FRESH, (f"o{t}", asg))
 
     sym = SymbolicCoalgebra(OrbitSet(tuple(schemas)), steps)
     root_idx = rng.choice([i for i in range(n)])
@@ -309,6 +308,26 @@ def _same_orbit_by_search(g: TermGraph, fvs, n1: int, n2: int) -> bool:
         _bisim_from(g, n1, g, n2, frozenset(zip(a1, image)))
         for image in itertools.permutations(a2)
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference for ratlam.terms.alpha_bisim on finite terms: structural
+# α-equivalence, by abstraction equality at each binder.
+
+
+def alpha_eq_finite(t1: FiniteTerm, t2: FiniteTerm) -> bool:
+    """α-equivalence of finite λ⊥-terms; ⊥ is equal only to ⊥."""
+    match (t1, t2):
+        case (Var(a), Var(b)):
+            return a == b
+        case (Bot(), Bot()):
+            return True
+        case (App(f1, a1), App(f2, a2)):
+            return alpha_eq_finite(f1, f2) and alpha_eq_finite(a1, a2)
+        case (Lam(x1, b1), Lam(x2, b2)):
+            return abstraction_eq(x1, b1, x2, b2, eq=alpha_eq_finite)
+        case _:
+            return False
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from ratlam import (
     Perm,
     Var,
     alpha_bisim,
-    alpha_eq_finite,
     bt_graph,
     bt_truncate,
     c_construct,
@@ -39,11 +38,12 @@ from ratlam import (
     subtree_count,
     truncate,
 )
-from ratlam.coalgebra import AbsStep, AppStep, FRESH, SymbolicCoalgebra, VarStep
+from ratlam.coalgebra import FRESH, SymbolicCoalgebra
 from ratlam.nominal import IDENTITY
 
 from conftest import (
     CORPUS,
+    alpha_eq_finite,
     naive_unfold,
     random_perm,
     random_symbolic_coalgebra,
@@ -66,19 +66,19 @@ def _coalgebra_corpus():
     hand = [
         gen_pair(),
         (
-            SymbolicCoalgebra(OrbitSet((o0,)), {"o": AppStep("o", (), "o", ())}),
+            SymbolicCoalgebra(OrbitSet((o0,)), {"o": ("app", ("o", ()), ("o", ()))}),
             OrbitElement(o0, ()),
         ),
         (
-            SymbolicCoalgebra(OrbitSet((o0,)), {"o": AbsStep(FRESH, "o", ())}),
+            SymbolicCoalgebra(OrbitSet((o0,)), {"o": ("lam", FRESH, ("o", ()))}),
             OrbitElement(o0, ()),
         ),
         (
-            SymbolicCoalgebra(OrbitSet((u2,)), {"u": AppStep("u", (0, 1), "u", (0, 1))}),
+            SymbolicCoalgebra(OrbitSet((u2,)), {"u": ("app", ("u", (0, 1)), ("u", (0, 1)))}),
             OrbitElement(u2, (Atom(0), Atom(1))),
         ),
         (
-            SymbolicCoalgebra(OrbitSet((u2,)), {"u": AbsStep(FRESH, "u", (0, 1))}),
+            SymbolicCoalgebra(OrbitSet((u2,)), {"u": ("lam", FRESH, ("u", (0, 1)))}),
             OrbitElement(u2, (Atom(0), Atom(1))),
         ),
     ]

@@ -13,7 +13,6 @@ from ratlam import (
     Lam,
     Var,
     alpha_bisim,
-    alpha_eq_finite,
     bt_graph,
     bt_truncate,
     fv,
@@ -27,6 +26,8 @@ from ratlam import (
     truncate,
 )
 from ratlam.boehm import _canonicalize
+
+from conftest import alpha_eq_finite
 
 # ---------------------------------------------------------------------------
 # Head reduction

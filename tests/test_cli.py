@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import os
 import subprocess
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from ratlam import alpha_eq_finite, parse_term
+from ratlam import parse_term
 from ratlam.cli import run
+
+from conftest import alpha_eq_finite
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -150,6 +153,32 @@ def test_c_construct_rejects_bad_file(tmp_path):
     assert code == 2
 
 
+_SWAP = "orbit o arity=2 stab={}\nstep o = app o(1,2) o(1,2)\n"
+_PAIR = (
+    "orbit var arity=1 stab=trivial\n"
+    "orbit pair arity=2 stab=trivial\n"
+    "step var = var 1\n"
+    "step pair = app var(1) var(2)\n"
+)
+
+
+@pytest.mark.parametrize("text, root", [
+    (_SWAP.format("(1 3)"), "o(v0,v1)"),
+    (_SWAP.format("(0 1)"), "o(v0,v1)"),
+    (_SWAP.format("(1 2"), "o(v0,v1)"),
+    (_SWAP.format("foo"), "o(v0,v1)"),
+    (_PAIR, "pair(v01,v2)"),
+    (_PAIR + "step ghost = var 1\n", "pair(v0,v1)"),
+    (_PAIR + "step var = var 1\n", "pair(v0,v1)"),
+], ids=["stab-slot-3-at-arity-2", "stab-slot-0", "stab-unclosed", "stab-word",
+        "root-leading-zero", "step-of-undeclared-orbit", "second-step"])
+def test_c_construct_rejects_invalid_input(tmp_path, capsys, text, root):
+    coalg = tmp_path / "bad.coalg"
+    coalg.write_text(text)
+    assert _run(["c-construct", str(coalg), root]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: invalid coalgebra: ")
+
+
 def test_examples_pair_roundtrips():
     code, text = _run(["examples", "pair"])
     assert code == 0
@@ -232,6 +261,27 @@ def test_parser_keeps_no_state_between_calls(capsys):
         assert _run(["bt", "-d", "2", term]) == (0, "\\v1. _|_ _|_\n")
         assert _run(["bt", term]) == (0, "\\v1. v1 (v1 (v1 v0))\n")  # default depth 8
     assert "usage: ratlam" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["print", r"mu r. \x. x #r"],
+    ["subtrees", "mu r. v0 (v1 #r)"],
+    ["examples", "rsigma:2"],
+    ["subst", "-v", "v1", r"mu r. \v0. v0 (v1 #r)", "v2 v3"],
+    ["truncate", "-d", "5", r"mu r. \x. x #r"],
+    ["alpha-eq", r"mu a. \v0. mu b. \v1. #a #b", r"mu a. \v5. mu b. \v6. #a #b"],
+], ids=lambda argv: argv[0])
+def test_commands_leave_no_reference_cycles(argv):
+    # a cycle through a recursive closure would keep the request's graphs
+    # alive until the cyclic collector next runs
+    _run(argv)  # the parser is built on the first run; that one is not measured
+    gc.collect()
+    gc.disable()
+    try:
+        _run(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("argv, code, stdout", [

@@ -5,9 +5,7 @@ import random
 import pytest
 
 from ratlam import (
-    AbsStep,
     App,
-    AppStep,
     Atom,
     BOT,
     ConcreteCoalgebra,
@@ -22,9 +20,7 @@ from ratlam import (
     SymbolicCoalgebra,
     TermGraph,
     Var,
-    VarStep,
     alpha_bisim,
-    alpha_eq_finite,
     c_construct,
     gen_pair,
     gen_rsigma,
@@ -49,6 +45,7 @@ from ratlam.coalgebra import _classes, _free_order, _orbit_classes
 from conftest import (
     CORPUS,
     _same_orbit_by_search,
+    alpha_eq_finite,
     naive_unfold,
     orbit_count_by_search,
     random_finite_term,
@@ -78,24 +75,48 @@ def test_validate_rejects_missing_step():
     sym = SymbolicCoalgebra(OrbitSet((OrbitSchema("o", 1),)), {})
     with pytest.raises(InvalidCoalgebra):
         validate_coalgebra(sym)
+    # and a step for an orbit the carrier does not declare
+    sym, _ = gen_pair()
+    ghost = SymbolicCoalgebra(sym.carrier, {**sym.steps, "ghost": ("var", 0)})
+    with pytest.raises(InvalidCoalgebra, match="undeclared orbit 'ghost'"):
+        validate_coalgebra(ghost)
 
 
 def test_validate_rejects_slot_out_of_range():
-    sym, _ = _single(OrbitSchema("o", 1), VarStep(3), (Atom(0),))
+    sym, _ = _single(OrbitSchema("o", 1), ("var", 3), (Atom(0),))
     with pytest.raises(InvalidCoalgebra):
         validate_coalgebra(sym)
 
 
 def test_validate_rejects_non_injective_assignment():
     o = OrbitSchema("o", 2)
-    sym, _ = _single(o, AppStep("o", (0, 0), "o", (0, 1)), (Atom(0), Atom(1)))
+    sym, _ = _single(o, ("app", ("o", (0, 0)), ("o", (0, 1))), (Atom(0), Atom(1)))
     with pytest.raises(InvalidCoalgebra):
         validate_coalgebra(sym)
 
 
 def test_validate_rejects_double_fresh():
     o = OrbitSchema("o", 2)
-    sym, _ = _single(o, AbsStep(FRESH, "o", (FRESH, FRESH)), (Atom(0), Atom(1)))
+    sym, _ = _single(o, ("lam", FRESH, ("o", (FRESH, FRESH))), (Atom(0), Atom(1)))
+    with pytest.raises(InvalidCoalgebra):
+        validate_coalgebra(sym)
+
+
+@pytest.mark.parametrize("view", [
+    ("var",),
+    ("var", "1"),
+    ("var", 0, 1),
+    ("app", ("o", (0,))),
+    ("app", "o(1)", "o(1)"),
+    ("app", ("o", [0]), ("o", (0,))),
+    ("lam", FRESH, "o"),
+    ("lam", "fresh", ("o", (0,))),
+    ("abs", FRESH, ("o", (0,))),
+    ("bot",),
+    "var 1",
+])
+def test_validate_rejects_a_view_of_no_step_shape(view):
+    sym, _ = _single(OrbitSchema("o", 1), view, (Atom(0),))
     with pytest.raises(InvalidCoalgebra):
         validate_coalgebra(sym)
 
@@ -103,19 +124,19 @@ def test_validate_rejects_double_fresh():
 def test_stabilizer_well_definedness():
     # under the slot swap, var-of-slot-1 changes: ill-defined on the quotient
     u = OrbitSchema("u", 2, S2)
-    bad, _ = _single(u, VarStep(0), (Atom(0), Atom(1)))
+    bad, _ = _single(u, ("var", 0), (Atom(0), Atom(1)))
     with pytest.raises(InvalidCoalgebra):
         validate_coalgebra(bad)
     # an application into the same unordered pair is symmetric, hence fine
-    good, _ = _single(u, AppStep("u", (0, 1), "u", (0, 1)), (Atom(0), Atom(1)))
+    good, _ = _single(u, ("app", ("u", (0, 1)), ("u", (0, 1))), (Atom(0), Atom(1)))
     validate_coalgebra(good)
     # so is abstracting a fresh name over the same unordered pair
-    good2, _ = _single(u, AbsStep(FRESH, "u", (0, 1)), (Atom(0), Atom(1)))
+    good2, _ = _single(u, ("lam", FRESH, ("u", (0, 1))), (Atom(0), Atom(1)))
     validate_coalgebra(good2)
     # and binding a slot, up to α: the swap turns λv0. w(v0) into λv1. w(v1)
     w = OrbitSchema("w", 1)
     validate_coalgebra(SymbolicCoalgebra(
-        OrbitSet((u, w)), {"u": AbsStep(0, "w", (0,)), "w": VarStep(0)}
+        OrbitSet((u, w)), {"u": ("lam", 0, ("w", (0,))), "w": ("var", 0)}
     ))
 
 
@@ -139,7 +160,7 @@ def test_instantiate_fresh_binder_is_least_fresh():
     o1 = OrbitSchema("o1", 1)
     sym = SymbolicCoalgebra(
         OrbitSet((o0, o1)),
-        {"o0": AbsStep(FRESH, "o1", (FRESH,)), "o1": VarStep(0)},
+        {"o0": ("lam", FRESH, ("o1", (FRESH,))), "o1": ("var", 0)},
     )
     conc = instantiate(sym)
     kind, binder, body = conc.step_fn(OrbitElement(o0, ()))
@@ -176,7 +197,7 @@ def test_pair_construction():
 
 def test_self_loop_application():
     o = OrbitSchema("o", 0)
-    sym, root = _single(o, AppStep("o", (), "o", ()))
+    sym, root = _single(o, ("app", ("o", ()), ("o", ())))
     g = c_construct(instantiate(sym), root, sym.carrier)
     assert len(g.nodes) == 1
     assert g.nodes[g.root] == ("app", g.root, g.root)
@@ -184,7 +205,7 @@ def test_self_loop_application():
 
 def test_binder_reuse_tower():
     o = OrbitSchema("o", 0)
-    sym, root = _single(o, AbsStep(FRESH, "o", ()))
+    sym, root = _single(o, ("lam", FRESH, ("o", ())))
     g = c_construct(instantiate(sym), root, sym.carrier)
     assert len(g.nodes) == 1
     v0 = Atom(0)
@@ -268,7 +289,7 @@ def test_graph_to_coalgebra_shapes():
     sym1, root1 = graph_to_coalgebra(graph_of(parse_term("v3")))
     (schema,) = sym1.carrier.schemas
     assert schema.arity == 1
-    assert sym1.steps[schema.id] == VarStep(0)
+    assert sym1.steps[schema.id] == ("var", 0)
 
 
 def test_graph_to_coalgebra_rejects_bottom():
@@ -475,7 +496,7 @@ step pair = app var(1) var(2)
 def test_parse_coalgebra_text():
     sym = parse_coalgebra(PAIR_TEXT)
     validate_coalgebra(sym)
-    assert sym.steps["pair"] == AppStep("var", (0,), "var", (1,))
+    assert sym.steps["pair"] == ("app", ("var", (0,)), ("var", (1,)))
     root = parse_root("pair(v0,v1)", sym)
     g = c_construct(instantiate(sym), root, sym.carrier)
     assert len(g.nodes) == 9
@@ -492,13 +513,34 @@ def test_parse_coalgebra_with_stabilizer():
     assert schema.stabilizer == frozenset({(0, 1), (1, 0)})
 
 
+# the 3-cycle group at arity 3 and the Klein group at arity 4
+STAB_TEXT = """\
+orbit c arity=3 stab=(1 2 3);(1 3 2)
+orbit k arity=4 stab=(1 2)(3 4);(1 3)(2 4);(1 4)(2 3)
+step c = app c(1,2,3) c(2,3,1)
+step k = app k(1,2,3,4) k(2,1,4,3)
+"""
+
+
 def test_print_parse_coalgebra_roundtrip():
-    for sym in [gen_pair()[0], parse_coalgebra(PAIR_TEXT)]:
+    for sym in [gen_pair()[0], parse_coalgebra(PAIR_TEXT), parse_coalgebra(STAB_TEXT)]:
         back = parse_coalgebra(print_coalgebra(sym))
         assert back.steps == sym.steps
         assert [
             (s.id, s.arity, s.stabilizer) for s in back.carrier
         ] == [(s.id, s.arity, s.stabilizer) for s in sym.carrier]
+    sym = validate_coalgebra(parse_coalgebra(STAB_TEXT))
+    assert sym.carrier["c"].stabilizer == frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
+    assert len(sym.carrier["k"].stabilizer) == 4
+    assert print_coalgebra(sym) == STAB_TEXT
+
+
+def test_parse_root_reads_atom_names_only():
+    sym = parse_coalgebra(PAIR_TEXT)
+    assert parse_root("pair(v10, v0)", sym).atoms == (Atom(10), Atom(0))
+    for bad in ("pair(v01,v2)", "pair(v1,x)", "pair(v-1,v2)"):
+        with pytest.raises(InvalidCoalgebra, match="bad atom"):
+            parse_root(bad, sym)
 
 
 def test_parse_coalgebra_rejects_garbage():
@@ -506,3 +548,9 @@ def test_parse_coalgebra_rejects_garbage():
         parse_coalgebra("nonsense line\n")
     with pytest.raises(InvalidCoalgebra):
         parse_coalgebra("step o = app var(1)\n")
+    with pytest.raises(InvalidCoalgebra, match="second step"):
+        parse_coalgebra(PAIR_TEXT + "step pair = app var(2) var(1)\n")
+    # stab is `trivial` or `;`-separated products of cycles over slots 1..arity
+    for stab in ("(1 3)", "(0 1)", "(1 2", "foo", "()", "trivial;(1 2)"):
+        with pytest.raises(InvalidCoalgebra, match="stab member"):
+            parse_coalgebra(f"orbit o arity=2 stab={stab}\nstep o = app o(1,2) o(1,2)\n")

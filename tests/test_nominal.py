@@ -10,7 +10,6 @@ from ratlam import (
     Perm,
     Var,
     abstraction_eq,
-    alpha_eq_finite,
     fresh_atom,
     fresh_atoms,
     fv,
@@ -18,7 +17,7 @@ from ratlam import (
 )
 from ratlam.nominal import IDENTITY
 
-from conftest import random_finite_term, random_perm
+from conftest import alpha_eq_finite, random_finite_term, random_perm
 
 atoms = st.builds(Atom, st.integers(min_value=0, max_value=7))
 

@@ -6,7 +6,6 @@ from ratlam import (
     Lam,
     Var,
     alpha_bisim,
-    alpha_eq_finite,
     c_construct,
     graph_of,
     graph_to_coalgebra,
@@ -22,12 +21,11 @@ from ratlam.coalgebra import (
     OrbitSchema,
     OrbitSet,
     SymbolicCoalgebra,
-    VarStep,
 )
 from ratlam.substitution import subst_coalgebra
 from ratlam.terms import _children
 
-from conftest import random_perm, random_term_graph
+from conftest import alpha_eq_finite, random_perm, random_term_graph
 
 # ---------------------------------------------------------------------------
 # Finite substitution (the oracle itself)
@@ -153,7 +151,7 @@ def _pad(sym: SymbolicCoalgebra, arity: int) -> SymbolicCoalgebra:
     extra = OrbitSchema("pad", arity)
     return SymbolicCoalgebra(
         OrbitSet(sym.carrier.schemas + (extra,)),
-        {**sym.steps, "pad": VarStep(0)},
+        {**sym.steps, "pad": ("var", 0)},
     )
 
 

@@ -16,7 +16,6 @@ from ratlam import (
     UnguardedMu,
     Var,
     alpha_bisim,
-    alpha_eq_finite,
     gen_rsigma,
     graph_of,
     minimize,
@@ -31,6 +30,7 @@ from ratlam.terms import _bisim_from, _classes, _label_key
 
 from conftest import (
     CORPUS,
+    alpha_eq_finite,
     literal_classes_by_rounds,
     print_graph_by_scan,
     random_perm,
