@@ -189,7 +189,7 @@ def run(argv, out=None) -> int:
                     root = parse_root(args.root, sym)
                     conc = instantiate(sym)
                     g = c_construct(conc, root, sym.carrier)
-                except (InvalidCoalgebra, KeyError, ValueError) as e:
+                except (InvalidCoalgebra, ValueError) as e:
                     raise CliError(f"invalid coalgebra: {e}")
                 n = len(sym.carrier.schemas)
                 print(print_graph(g), file=out)

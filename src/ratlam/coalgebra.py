@@ -86,13 +86,17 @@ class EscapesCarrier(ValueError):
 def _check_target(c: SymbolicCoalgebra, schema: OrbitSchema, target: tuple,
                   allow_fresh: bool):
     sid, assignment = target
+    if sid not in c.carrier:
+        raise InvalidCoalgebra(f"step of {schema.id!r}: target names undeclared orbit {sid!r}")
     if len(assignment) != c.carrier[sid].arity:
         raise InvalidCoalgebra(
             f"step of {schema.id!r}: assignment length {len(assignment)} "
             f"does not match arity of {sid!r}"
         )
     slots = [s for s in assignment if s is not FRESH]
-    if len(assignment) - len(slots) > (1 if allow_fresh else 0):
+    if not allow_fresh and len(slots) < len(assignment):
+        raise InvalidCoalgebra(f"step of {schema.id!r}: FRESH not allowed in an application target")
+    if len(assignment) - len(slots) > 1:
         raise InvalidCoalgebra(f"step of {schema.id!r}: more than one FRESH slot")
     for s in slots:
         if s not in range(schema.arity):
@@ -244,12 +248,12 @@ def graph_to_coalgebra(g: TermGraph) -> tuple[SymbolicCoalgebra, OrbitElement]:
     """Present a term graph as an orbit-finite coalgebra plus a root element.
 
     Each reachable node n becomes one trivial-stabilizer orbit `n<n>` whose
-    slots are the node's free variables in sorted order.
+    slots are the node's free names in `_free_orders` order.  That order is
+    equivariant, so renaming the graph renames only the root element.
     """
-    fvs = g.fv_map()
+    slots = _free_orders(g)
     order = g.reachable()
     ids = {n: f"n{n}" for n in order}
-    slots = {n: tuple(sorted(fvs[n])) for n in order}
     steps: dict[str, tuple] = {}
     for n in order:
         view = _step_view(g.nodes[n], slots[n], slots, ids)
@@ -359,53 +363,58 @@ def orbit_count(g: TermGraph) -> int:
 
     Two subtrees are in the same orbit iff some renaming of their free
     variables makes them α-equivalent.  That is the coarsest partition stable
-    under the node's step view over its `_free_order` slots, as
+    under the node's step view over its `_free_orders` slots, as
     `graph_to_coalgebra` presents it with the targets' orbits left to the
     refinement: the kind, each child's free order written as positions in
-    the node's own, FRESH for a λ's binder.  A renaming carries
-    `_free_order` along, so orbits are stable; in a stable partition, mapping
-    one node's order onto the other's is an α-bisimulation.  Cost: one
-    `_free_order` per reachable node plus one O(n log n) refinement.
+    the node's own, FRESH for a λ's binder.  A renaming carries the free
+    orders along, so orbits are stable; in a stable partition, mapping one
+    node's order onto the other's is an α-bisimulation.  Cost: one
+    `_free_orders` pass plus one O(n log n) refinement.
     """
     return len(set(_orbit_classes(g).values()))
 
 
 def _orbit_classes(g: TermGraph) -> dict[int, int]:
     """Orbit equivalence on the reachable nodes, by the step view over the
-    free orders, as node → class."""
-    fvs = g.fv_map()
-    orders = {n: _free_order(g, fvs, n) for n in g.reachable()}
+    `_free_orders` slots that `graph_to_coalgebra` uses, as node → class."""
+    orders = _free_orders(g)
     # no target ids: the refinement keys on the children's classes instead
     return _classes(g, lambda n: _step_view(g.nodes[n], orders[n], orders, {}))
 
 
-def _free_order(g: TermGraph, fvs, n: int) -> tuple[Atom, ...]:
-    """The free names of n's unfolding in order of first free occurrence,
-    breadth first with children in order.
+def _free_orders(g: TermGraph) -> dict[int, tuple[Atom, ...]]:
+    """For each reachable node, the free names of its unfolding in order of
+    first free occurrence, breadth first with children in order.
 
-    The search runs on states (node m, the names of fv(n) ∩ fv(m) not bound
-    on the path), each visited once: two positions with the same state have
-    the same free occurrences below them, and the first of the two in
-    breadth-first order reaches each of them first.  Intersecting with fv of
-    each node on the way drops a name at its binder, since a λ's binder is
-    not free in the λ.  A state whose name set is empty can add nothing and
-    is dropped, so every var state dequeued is a free occurrence.  The search
-    stops once every free name is found.
+    One backward breadth-first search from every var node at once, over
+    (node, name) pairs: level d holds the pairs whose nearest free occurrence
+    lies d edges down.  Level d+1 reads level d once per child position,
+    first across the edges into child 0, then into child 1, so a node appends
+    its names of depth d+1 in the order of their leftmost occurrence; a λ
+    skips its own binder.  Cost: O(Σ |fv(n)|) over the reachable nodes.
     """
-    found: dict[Atom, None] = {}
-    seen = {(n, fvs[n])}
-    queue = deque(seen)
-    while queue and len(found) < len(fvs[n]):
-        m, free = queue.popleft()
-        label = g.nodes[m]
+    found: dict[int, dict[Atom, None]] = {}
+    into: tuple[dict, dict] = ({}, {})  # per child position: child → [(parent, names, binder)]
+    level = []
+    for n in g.reachable():
+        label = g.nodes[n]
+        names = found[n] = {}
+        binder = label[1] if label[0] == "lam" else None
+        for i, c in enumerate(_children(label)):
+            into[i].setdefault(c, []).append((n, names, binder))
         if label[0] == "var":
-            found[label[1]] = None
-        for c in _children(label):
-            state = (c, free & fvs[c])
-            if state[1] and state not in seen:
-                seen.add(state)
-                queue.append(state)
-    return tuple(found)
+            names[label[1]] = None
+            level.append((n, label[1]))
+    while level:
+        deeper = []
+        for edges in into:
+            for c, a in level:
+                for n, names, binder in edges.get(c, ()):
+                    if a not in names and (binder is None or a != binder):
+                        names[a] = None
+                        deeper.append((n, a))
+        level = deeper
+    return {n: tuple(names) for n, names in found.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +521,8 @@ def parse_root(text: str, c: SymbolicCoalgebra) -> OrbitElement:
     if not m:
         raise InvalidCoalgebra(f"bad root element: {text!r}")
     sid, atoms = m.group(1), m.group(2)
+    if sid not in c.carrier:
+        raise InvalidCoalgebra(f"root element names undeclared orbit {sid!r}")
     names = [a.strip() for a in atoms.split(",")] if atoms.strip() else []
     parsed = []
     for name in names:

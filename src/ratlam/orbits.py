@@ -89,6 +89,9 @@ class OrbitSet:
     def __getitem__(self, schema_id: str) -> OrbitSchema:
         return self._by_id[schema_id]
 
+    def __contains__(self, schema_id: str) -> bool:
+        return schema_id in self._by_id
+
     def __iter__(self):
         return iter(self.schemas)
 

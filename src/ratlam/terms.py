@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from .nominal import Atom, Perm
@@ -98,7 +97,6 @@ FiniteTerm = Var | Bot | Lam | App
 MuTerm = Var | Bot | Lam | App | Mu | Ref
 
 
-@lru_cache(maxsize=None)
 def fv(t: MuTerm) -> frozenset[Atom]:
     """Free variables; μ-references contribute nothing by themselves."""
     match t:
@@ -239,11 +237,6 @@ class _Parser:
             name = self.expect("ident")[1]
             self.expect("dot")
             return Lam(self.interner.atom(name), self.term())
-        if kind == "mu":
-            self.next()
-            label = self.expect("ident")[1]
-            self.expect("dot")
-            return Mu(label, self.term())
         return self.application()
 
     def application(self) -> MuTerm:
@@ -355,7 +348,6 @@ class TermGraph:
             raise ValueError("root node missing")
         self.nodes = dict(nodes)
         self.root = root
-        self._fv: dict[int, frozenset[Atom]] | None = None
 
     def reachable(self) -> list[int]:
         """The nodes reachable from the root, in depth-first preorder."""
@@ -363,8 +355,6 @@ class TermGraph:
 
     def fv_map(self) -> dict[int, frozenset[Atom]]:
         """Free variables per node: least fixpoint of the structural equations."""
-        if self._fv is not None:
-            return self._fv
         fvs: dict[int, frozenset[Atom]] = {n: frozenset() for n in self.nodes}
         changed = True
         while changed:
@@ -382,7 +372,6 @@ class TermGraph:
                 if new != fvs[n]:
                     fvs[n] = new
                     changed = True
-        self._fv = fvs
         return fvs
 
     def support(self) -> frozenset[Atom]:
@@ -554,25 +543,19 @@ def alpha_bisim(g1: TermGraph, g2: TermGraph) -> bool:
     Free variables are concrete names, so the initial correspondence is the
     identity on the shared free variables.
     """
-    if g1.fv_map()[g1.root] != g2.fv_map()[g2.root]:
-        return False
-    rho0 = frozenset((a, a) for a in g1.fv_map()[g1.root])
-    return _bisim_from(g1, g1.root, g2, g2.root, rho0)
+    fv1, fv2 = g1.fv_map(), g2.fv_map()
+    rho0 = frozenset((a, a) for a in fv1[g1.root])
+    return _bisim_check(g1, g2, fv1, fv2, set(), g1.root, g2.root, rho0)
 
 
-def _bisim_from(g1: TermGraph, n1: int, g2: TermGraph, n2: int,
-                rho0: frozenset[tuple[Atom, Atom]]) -> bool:
-    """Greatest fixpoint over (node, node, injection) triples.
+def _bisim_check(g1: TermGraph, g2: TermGraph, fv1: dict, fv2: dict, assumed: set[tuple],
+                 n1: int, n2: int, rho: frozenset[tuple[Atom, Atom]]) -> bool:
+    """Greatest fixpoint over (node, node, injection) triples, from n1, n2, rho.
 
     The candidate relation is uniquely determined at every state, so
     assume-and-check with a memoized assumption set is a sound and complete
     decision procedure on the finite state space.
     """
-    return _bisim_check(g1, g2, g1.fv_map(), g2.fv_map(), set(), n1, n2, rho0)
-
-
-def _bisim_check(g1: TermGraph, g2: TermGraph, fv1: dict, fv2: dict, assumed: set[tuple],
-                 n1: int, n2: int, rho: frozenset[tuple[Atom, Atom]]) -> bool:
     state = (n1, n2, rho)
     if state in assumed:
         return True

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -28,7 +29,7 @@ from ratlam import (
     print_term,
     swap,
 )
-from ratlam.terms import FiniteTerm, MuTerm, _bisim_from, _children, _label_key, minimize
+from ratlam.terms import FiniteTerm, MuTerm, _bisim_check, _children, _label_key, minimize
 
 # A corpus of small mu-terms.  Every identifier is written as an explicit
 # v<index> so that parsing with independent interners never collapses two
@@ -161,6 +162,23 @@ def random_symbolic_coalgebra(rng: random.Random):
     root_idx = rng.choice([i for i in range(n)])
     root = OrbitElement(schemas[root_idx], tuple(Atom(j) for j in range(arities[root_idx])))
     return sym, root
+
+
+def glued(g: TermGraph) -> TermGraph:
+    """Two disjoint copies of g under one application root: every cycle of g
+    has a bisimilar twin in another strongly connected component."""
+    off = max(g.nodes) + 1
+    nodes = dict(g.nodes)
+    for n, label in g.nodes.items():
+        match label:
+            case ("lam", x, b):
+                nodes[n + off] = ("lam", x, b + off)
+            case ("app", f, a):
+                nodes[n + off] = ("app", f + off, a + off)
+            case _:
+                nodes[n + off] = label
+    nodes[2 * off] = ("app", g.root, g.root + off)
+    return TermGraph(nodes, 2 * off)
 
 
 def graph_eq_literal(g1: TermGraph, g2: TermGraph) -> bool:
@@ -305,9 +323,42 @@ def _same_orbit_by_search(g: TermGraph, fvs, n1: int, n2: int) -> bool:
     if g.nodes[n1][0] != g.nodes[n2][0]:
         return False
     return any(
-        _bisim_from(g, n1, g, n2, frozenset(zip(a1, image)))
+        _bisim_check(g, g, fvs, fvs, set(), n1, n2, frozenset(zip(a1, image)))
         for image in itertools.permutations(a2)
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference for ratlam.coalgebra._free_orders: one search per node.
+
+
+def free_order_by_search(g: TermGraph, fvs, n: int) -> tuple[Atom, ...]:
+    """The free names of n's unfolding in order of first free occurrence,
+    breadth first with children in order.
+
+    The search runs on states (node m, the names of fv(n) ∩ fv(m) not bound
+    on the path), each visited once: two positions with the same state have
+    the same free occurrences below them, and the first of the two in
+    breadth-first order reaches each of them first.  Intersecting with fv of
+    each node on the way drops a name at its binder, since a λ's binder is
+    not free in the λ.  A state whose name set is empty can add nothing and
+    is dropped, so every var state dequeued is a free occurrence.  The search
+    stops once every free name is found.
+    """
+    found: dict[Atom, None] = {}
+    seen = {(n, fvs[n])}
+    queue = deque(seen)
+    while queue and len(found) < len(fvs[n]):
+        m, free = queue.popleft()
+        label = g.nodes[m]
+        if label[0] == "var":
+            found[label[1]] = None
+        for c in _children(label):
+            state = (c, free & fvs[c])
+            if state[1] and state not in seen:
+                seen.add(state)
+                queue.append(state)
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

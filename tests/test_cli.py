@@ -170,8 +170,11 @@ _PAIR = (
     (_PAIR, "pair(v01,v2)"),
     (_PAIR + "step ghost = var 1\n", "pair(v0,v1)"),
     (_PAIR + "step var = var 1\n", "pair(v0,v1)"),
+    ("orbit o arity=1 stab=trivial\nstep o = app q(1) o(1)\n", "o(v0)"),
+    (_PAIR, "zz(v0)"),
 ], ids=["stab-slot-3-at-arity-2", "stab-slot-0", "stab-unclosed", "stab-word",
-        "root-leading-zero", "step-of-undeclared-orbit", "second-step"])
+        "root-leading-zero", "step-of-undeclared-orbit", "second-step",
+        "target-of-undeclared-orbit", "root-of-undeclared-orbit"])
 def test_c_construct_rejects_invalid_input(tmp_path, capsys, text, root):
     coalg = tmp_path / "bad.coalg"
     coalg.write_text(text)

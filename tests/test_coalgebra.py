@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 
 import pytest
 
@@ -36,16 +37,19 @@ from ratlam import (
     size_bound,
     subst_rational,
     subtree_count,
+    swap,
     truncate,
     validate_coalgebra,
 )
 from ratlam import coalgebra
-from ratlam.coalgebra import _classes, _free_order, _orbit_classes
+from ratlam.coalgebra import _classes, _free_orders, _orbit_classes
 
 from conftest import (
     CORPUS,
     _same_orbit_by_search,
     alpha_eq_finite,
+    free_order_by_search,
+    glued,
     naive_unfold,
     orbit_count_by_search,
     random_finite_term,
@@ -92,6 +96,17 @@ def test_validate_rejects_non_injective_assignment():
     o = OrbitSchema("o", 2)
     sym, _ = _single(o, ("app", ("o", (0, 0)), ("o", (0, 1))), (Atom(0), Atom(1)))
     with pytest.raises(InvalidCoalgebra):
+        validate_coalgebra(sym)
+
+
+@pytest.mark.parametrize("step, message", [
+    (("app", ("q", (0,)), ("o", (0,))), "step of 'o': target names undeclared orbit 'q'"),
+    (("app", ("o", (FRESH,)), ("o", (0,))),
+     "step of 'o': FRESH not allowed in an application target"),
+])
+def test_validate_rejects_bad_app_target(step, message):
+    sym, _ = _single(OrbitSchema("o", 1), step, (Atom(0),))
+    with pytest.raises(InvalidCoalgebra, match=f"^{re.escape(message)}$"):
         validate_coalgebra(sym)
 
 
@@ -297,6 +312,20 @@ def test_graph_to_coalgebra_rejects_bottom():
         graph_to_coalgebra(graph_of(parse_term("_|_")))
 
 
+def test_graph_to_coalgebra_is_equivariant():
+    # sorted slots would give `v1 v0` the step app n1(2) n2(1), `v0 v1` app n1(1) n2(2)
+    rng = random.Random(13)
+    cases = [(graph_of(parse_term("v0 v1")), swap(Atom(0), Atom(1)))]
+    for _ in range(200):
+        g = random_term_graph(rng, max_nodes=14, natoms=rng.randint(2, 5))
+        cases.append((g, random_perm(rng)))
+    for g, p in cases:
+        sym, root = graph_to_coalgebra(g)
+        sym_p, root_p = graph_to_coalgebra(g.act(p))
+        assert sym_p.steps == sym.steps
+        assert root_p.atoms == tuple(p(a) for a in root.atoms)
+
+
 def test_roundtrip_on_sample():
     for src in CORPUS[:10]:
         g = graph_of(parse_term(src))
@@ -380,24 +409,36 @@ def test_orbit_count_cycles_and_spines(k):
 
 
 def test_orbit_count_work_on_a_cycle(monkeypatch):
-    orders, refinements = [], []
+    passes, refinements = [], []
 
-    def counted_order(*args):
-        orders.append(args)
-        return _free_order(*args)
+    def counted_orders(*args):
+        passes.append(args)
+        return _free_orders(*args)
 
     def counted_classes(*args):
         refinements.append(args)
         return _classes(*args)
 
-    monkeypatch.setattr(coalgebra, "_free_order", counted_order)
+    monkeypatch.setattr(coalgebra, "_free_orders", counted_orders)
     monkeypatch.setattr(coalgebra, "_classes", counted_classes)
     g = _cycle(8)
     assert orbit_count(g) == 2
-    # one free order per reachable node and one refinement, where trying all
-    # 8! renamings per pair of subtrees takes tens of thousands of steps
-    assert len(orders) == len(g.reachable())
+    # one free-order pass and one refinement, where trying all 8! renamings
+    # per pair of subtrees takes tens of thousands of steps
+    assert len(passes) == 1
     assert len(refinements) == 1
+
+
+def _lam_chain(n: int) -> TermGraph:
+    """n λv1s over `var v0`, the leaf inserted first: n + 1 distinct orbits."""
+    nodes = {0: ("var", Atom(0))}
+    nodes.update({i: ("lam", Atom(1), i - 1) for i in range(1, n + 1)})
+    return TermGraph(nodes, n)
+
+
+def test_orbit_count_of_a_10k_lambda_chain():
+    # a search per node walks down to the leaf: quadratic on this chain
+    assert orbit_count(_lam_chain(10_000)) == 10_001
 
 
 def test_orbit_count_matches_renaming_search():
@@ -426,7 +467,7 @@ def test_orbit_count_rsigma_4():
 
 
 def _order_at_root(g: TermGraph) -> tuple[Atom, ...]:
-    return _free_order(g, g.fv_map(), g.root)
+    return _free_orders(g)[g.root]
 
 
 def test_free_order_skips_bound_occurrences():
@@ -441,12 +482,23 @@ def test_free_order_is_equivariant():
     for _ in range(200):
         g = random_term_graph(rng, max_nodes=14, natoms=rng.randint(2, 5))
         p = random_perm(rng)
-        gp = g.act(p)
-        fvs, fvs_p = g.fv_map(), gp.fv_map()
+        fvs, orders, orders_p = g.fv_map(), _free_orders(g), _free_orders(g.act(p))
         for n in g.reachable():
-            order = _free_order(g, fvs, n)
-            assert set(order) == fvs[n]
-            assert _free_order(gp, fvs_p, n) == tuple(p(a) for a in order)
+            assert set(orders[n]) == fvs[n]
+            assert orders_p[n] == tuple(p(a) for a in orders[n])
+
+
+def test_free_orders_match_a_search_per_node():
+    rng = random.Random(12)
+    graphs = [gen_rsigma(k) for k in (1, 2, 3)]
+    for _ in range(500):
+        g = random_term_graph(rng, max_nodes=rng.randint(2, 20), natoms=rng.randint(2, 5))
+        graphs += [g, glued(g)]
+    for g in graphs:
+        fvs, orders = g.fv_map(), _free_orders(g)
+        assert orders.keys() == set(g.reachable())
+        for n in g.reachable():
+            assert orders[n] == free_order_by_search(g, fvs, n)
 
 
 def _rename_binders(t, names, env=None):
@@ -541,6 +593,8 @@ def test_parse_root_reads_atom_names_only():
     for bad in ("pair(v01,v2)", "pair(v1,x)", "pair(v-1,v2)"):
         with pytest.raises(InvalidCoalgebra, match="bad atom"):
             parse_root(bad, sym)
+    with pytest.raises(InvalidCoalgebra, match="^root element names undeclared orbit 'zz'$"):
+        parse_root("zz(v0)", sym)
 
 
 def test_parse_coalgebra_rejects_garbage():

@@ -26,11 +26,12 @@ from ratlam import (
     subtree_count,
     truncate,
 )
-from ratlam.terms import _bisim_from, _classes, _label_key
+from ratlam.terms import _bisim_check, _classes, _label_key
 
 from conftest import (
     CORPUS,
     alpha_eq_finite,
+    glued,
     literal_classes_by_rounds,
     print_graph_by_scan,
     random_perm,
@@ -236,11 +237,27 @@ def test_alpha_bisim_same_perm_invariance():
         assert alpha_bisim(g1, g2) == alpha_bisim(g1.act(p), g2.act(p))
 
 
+def test_alpha_bisim_computes_each_fv_map_once(monkeypatch):
+    calls = []
+    fv_map = TermGraph.fv_map
+
+    def counted(g):
+        calls.append(g)
+        return fv_map(g)
+
+    monkeypatch.setattr(TermGraph, "fv_map", counted)
+    g1 = graph_of(parse_term("mu r. \\v0. v0 (v1 #r)"))
+    g2 = graph_of(parse_term("mu r. \\v5. v5 (v1 #r)"))
+    assert alpha_bisim(g1, g2)
+    assert calls == [g1, g2]
+
+
 def test_alpha_bisim_renaming_allows_free_variable_bijection():
     g1 = graph_of(parse_term("mu r. v0 #r"))
     g2 = graph_of(parse_term("mu r. v1 #r"))
-    assert _bisim_from(g1, g1.root, g2, g2.root, frozenset({(Atom(0), Atom(1))}))
-    assert not _bisim_from(g1, g1.root, g2, g2.root, frozenset({(Atom(0), Atom(0))}))
+    fv1, fv2 = g1.fv_map(), g2.fv_map()
+    for rho, want in (({(Atom(0), Atom(1))}, True), ({(Atom(0), Atom(0))}, False)):
+        assert _bisim_check(g1, g2, fv1, fv2, set(), g1.root, g2.root, frozenset(rho)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +302,11 @@ def test_minimize():
             assert truncate(m, d) == truncate(g, d)
 
 
-def _glued(g: TermGraph) -> TermGraph:
-    """Two disjoint copies of g under one application root: every cycle of g
-    has a bisimilar twin in another strongly connected component."""
-    off = max(g.nodes) + 1
-    nodes = dict(g.nodes)
-    for n, label in g.nodes.items():
-        match label:
-            case ("lam", x, b):
-                nodes[n + off] = ("lam", x, b + off)
-            case ("app", f, a):
-                nodes[n + off] = ("app", f + off, a + off)
-            case _:
-                nodes[n + off] = label
-    nodes[2 * off] = ("app", g.root, g.root + off)
-    return TermGraph(nodes, 2 * off)
-
-
 def test_graph_core_agrees_with_reference_algorithms():
     rng = random.Random(67)
     for _ in range(400):
         g = random_term_graph(rng, 12)
-        for h in (g, _glued(g)):
+        for h in (g, glued(g)):
             order = h.reachable()
             assert order == reachable_by_stack(h)
             cls = _classes(h, lambda n: _label_key(h.nodes[n]))
