@@ -25,12 +25,7 @@ class HnfDecomposition:
     args: tuple[FiniteTerm, ...]
 
     def term(self) -> FiniteTerm:
-        t: FiniteTerm = Var(self.head)
-        for a in self.args:
-            t = App(t, a)
-        for x in reversed(self.binders):
-            t = Lam(x, t)
-        return t
+        return _unspine(self.binders, Var(self.head), self.args)
 
 
 @dataclass(frozen=True)
@@ -63,6 +58,15 @@ def _spine(t: FiniteTerm) -> tuple[tuple[Atom, ...], FiniteTerm, list[FiniteTerm
     return tuple(binders), t, args
 
 
+def _unspine(binders, head: FiniteTerm, args) -> FiniteTerm:
+    """The inverse of `_spine`: λbinders. head args[0] … args[-1]."""
+    for a in args:
+        head = App(head, a)
+    for x in reversed(binders):
+        head = Lam(x, head)
+    return head
+
+
 def head_reduce(t: FiniteTerm, fuel: int) -> HnfDecomposition | BottomVerdict:
     """Contract the head redex until a head normal form or the fuel runs out."""
     while True:
@@ -79,12 +83,7 @@ def head_reduce(t: FiniteTerm, fuel: int) -> HnfDecomposition | BottomVerdict:
                 if fuel <= 0:
                     return BottomVerdict(fuel_exhausted=True)
                 fuel -= 1
-                reduced = subst_finite(b, x, args[0])
-                for a in args[1:]:
-                    reduced = App(reduced, a)
-                for x2 in reversed(binders):
-                    reduced = Lam(x2, reduced)
-                t = reduced
+                t = _unspine(binders, subst_finite(b, x, args[0]), args[1:])
 
 
 def bt_truncate(t: FiniteTerm, budget: BtBudget) -> FiniteTerm:

@@ -27,7 +27,7 @@ from .orbits import (
     enumerate_support_in,
     validate_orbit_set,
 )
-from .terms import _ATOM_NAME, TermGraph, _children, _classes
+from .terms import _ATOM_NAME, TermGraph, _children, _classes, _lmap
 
 # FRESH marker in step views
 FRESH = None
@@ -100,7 +100,7 @@ def _check_target(c: SymbolicCoalgebra, schema: OrbitSchema, target: tuple,
         raise InvalidCoalgebra(f"step of {schema.id!r}: more than one FRESH slot")
     for s in slots:
         if s not in range(schema.arity):
-            raise InvalidCoalgebra(f"step of {schema.id!r}: slot {s} out of range")
+            raise InvalidCoalgebra(f"step of {schema.id!r}: slot {s + 1} out of range")
     if len(set(slots)) != len(slots):
         raise InvalidCoalgebra(f"step of {schema.id!r}: assignment not injective")
 
@@ -114,15 +114,14 @@ def _target_element(c: SymbolicCoalgebra, target: tuple, atoms: tuple[Atom, ...]
 
 
 def _step_of_tuple(c: SymbolicCoalgebra, schema: OrbitSchema, atoms: tuple[Atom, ...]):
-    """Instantiate the schema's step view at a concrete atom tuple."""
-    match c.steps[schema.id]:
-        case ("var", src):
-            return ("var", atoms[src])
-        case ("app", left, right):
-            return ("app", _target_element(c, left, atoms), _target_element(c, right, atoms))
-        case ("lam", binder, body):
-            v = fresh_atom(atoms) if binder is FRESH else atoms[binder]
-            return ("lam", v, _target_element(c, body, atoms, v))
+    """Instantiate the schema's step view at a concrete atom tuple.  A λ's
+    binder, its slot's atom or else the least fresh one, fills FRESH slots."""
+    view = c.steps[schema.id]
+    v = None
+    if view[0] == "lam":
+        v = fresh_atom(atoms) if view[1] is FRESH else atoms[view[1]]
+    return _lmap(view, lambda s: v if s is FRESH else atoms[s],
+                 lambda target: _target_element(c, target, atoms, v))
 
 
 def validate_coalgebra(c: SymbolicCoalgebra) -> SymbolicCoalgebra:
@@ -137,13 +136,14 @@ def validate_coalgebra(c: SymbolicCoalgebra) -> SymbolicCoalgebra:
         match c.steps[schema.id]:
             case ("var", int(src)):
                 if src not in range(schema.arity):
-                    raise InvalidCoalgebra(f"step of {schema.id!r}: slot {src} out of range")
+                    raise InvalidCoalgebra(f"step of {schema.id!r}: slot {src + 1} out of range")
             case ("app", (str(), tuple()) as left, (str(), tuple()) as right):
                 _check_target(c, schema, left, allow_fresh=False)
                 _check_target(c, schema, right, allow_fresh=False)
             case ("lam", None | int() as b, (str(), tuple()) as body):
                 if b is not FRESH and b not in range(schema.arity):
-                    raise InvalidCoalgebra(f"step of {schema.id!r}: binder slot {b} out of range")
+                    raise InvalidCoalgebra(
+                        f"step of {schema.id!r}: binder slot {b + 1} out of range")
                 _check_target(c, schema, body, allow_fresh=True)
             case view:
                 raise InvalidCoalgebra(f"step of {schema.id!r} is not a step view: {view!r}")
@@ -199,7 +199,7 @@ def c_construct(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) 
 
     enumerative = carrier is not None
 
-    def node_id(e, from_step: bool):
+    def node_id(e, from_step: bool = True):
         if len(e.support()) > m:
             raise SupportTooLarge(e)
         if e in ids:
@@ -220,22 +220,14 @@ def c_construct(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) 
 
     while pending:
         e = pending.popleft()
-        nid = ids[e]
-        step = conc.step_fn(e)
-        match step:
-            case ("var", _):
-                nodes[nid] = step
-            case ("app", l, r):
-                nodes[nid] = ("app", node_id(l, True), node_id(r, True))
+        match step := conc.step_fn(e):
             case ("lam", v, body):
-                free_in_w = W - e.support()
-                if not free_in_w:
-                    raise SupportTooLarge(e)
-                w = min(free_in_w)
-                y = body if v == w else body.act(swap(v, w))
-                nodes[nid] = ("lam", w, node_id(y, True))
-            case other:
-                raise InvalidCoalgebra(f"unknown concrete step {other!r}")
+                # |support(e)| <= m < |W|: rename the binder to W's least name fresh for e
+                w = min(W - e.support())
+                step = ("lam", w, body if v == w else body.act(swap(v, w)))
+            case ("bot",):
+                raise InvalidCoalgebra(f"unknown concrete step {step!r}")
+        nodes[ids[e]] = _lmap(step, child=node_id)
 
     return TermGraph(nodes, ids[root])
 
@@ -274,19 +266,10 @@ def _step_view(label: tuple, slots: tuple[Atom, ...], child_slots: dict,
     A ⊥ label has no step view and is returned as it is.
     """
     pos = {a: i for i, a in enumerate(slots)}
-
-    def target(c: int) -> tuple:
-        return ids.get(c), tuple([pos[a] for a in child_slots[c]])
-
-    match label:
-        case ("var", a):
-            return ("var", pos[a])
-        case ("lam", x, b):
-            pos[x] = FRESH
-            return ("lam", FRESH, target(b))
-        case ("app", f, a):
-            return ("app", target(f), target(a))
-    return label
+    if label[0] == "lam":
+        pos[label[1]] = FRESH
+    return _lmap(label, pos.__getitem__,
+                 lambda c: (ids.get(c), tuple([pos[a] for a in child_slots[c]])))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +293,7 @@ def gen_rsigma(levels: int) -> TermGraph:
     if levels > 4:
         raise ValueError("levels > 4 is not desk-scale")
     m = 2 ** (levels - 1)
-    base = tuple(Atom(i) for i in range(1, m + 1))
+    base = tuple(range(1, m + 1))  # atom indices: an Atom is built only in a var label
 
     nodes: dict[int, tuple] = {}
     counter = itertools.count()
@@ -319,7 +302,7 @@ def gen_rsigma(levels: int) -> TermGraph:
     h_id = {f: next(counter) for f in fronts}
 
     # no f is in bin_memo yet: it holds only fronts shorter than m
-    bin_memo: dict[tuple[Atom, ...], int] = {}
+    bin_memo: dict[tuple[int, ...], int] = {}
     for f in fronts:
         transposed = (f[1], f[0]) + f[2:] if m >= 2 else f
         rotated = f[1:] + f[:1]
@@ -329,12 +312,12 @@ def gen_rsigma(levels: int) -> TermGraph:
     return TermGraph(nodes, r_id[base])
 
 
-def _bin_node(front: tuple[Atom, ...], memo: dict, nodes: dict, counter) -> int:
+def _bin_node(front: tuple[int, ...], memo: dict, nodes: dict, counter) -> int:
     """The balanced application tree over front's variables, for a front not
     yet in memo; subtrees are shared through memo, ids drawn in preorder."""
     nid = memo[front] = next(counter)
     if len(front) == 1:
-        nodes[nid] = ("var", front[0])
+        nodes[nid] = ("var", Atom(front[0]))
     else:
         h = len(front) // 2
         left, right = front[:h], front[h:]

@@ -154,17 +154,16 @@ def enumerate_support_in(s: OrbitSet, atoms) -> list[OrbitElement]:
     """All elements supported inside the given atom pool, duplicate-free.
 
     Order is deterministic: schemas in presentation order, elements by
-    canonical tuple.
+    canonical tuple.  Tuples of the sorted pool come in lexicographic order,
+    so each element is met first at its canonical tuple; only that one is kept.
     """
     pool = sorted(set(atoms))
     out: list[OrbitElement] = []
     for schema in s.schemas:
-        seen: set[OrbitElement] = set()
         for t in itertools.permutations(pool, schema.arity):
             e = OrbitElement(schema, t)
-            if e not in seen:
-                seen.add(e)
-        out.extend(sorted(seen, key=lambda e: e.canonical()))
+            if e.atoms == e.canonical():
+                out.append(e)
     return out
 
 

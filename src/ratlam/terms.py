@@ -17,80 +17,61 @@ from .nominal import Atom, Perm
 # Term syntax
 
 
+class _Term:
+    """What every finite term and μ-term shares: its support is its free
+    variables, and it prints as μ-term syntax."""
+
+    def support(self) -> frozenset[Atom]:
+        return fv(self)
+
+    def __str__(self):
+        return print_term(self)
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Term):
     atom: Atom
 
     def act(self, p: Perm) -> "Var":
         return Var(p(self.atom))
 
-    def support(self) -> frozenset[Atom]:
-        return frozenset({self.atom})
-
-    def __str__(self):
-        return print_term(self)
-
 
 @dataclass(frozen=True)
-class Bot:
+class Bot(_Term):
     def act(self, p: Perm) -> "Bot":
         return self
-
-    def support(self) -> frozenset[Atom]:
-        return frozenset()
-
-    def __str__(self):
-        return print_term(self)
 
 
 BOT = Bot()
 
 
 @dataclass(frozen=True)
-class Lam:
+class Lam(_Term):
     binder: Atom
     body: "FiniteTerm"
 
     def act(self, p: Perm) -> "Lam":
         return Lam(p(self.binder), self.body.act(p))
 
-    def support(self) -> frozenset[Atom]:
-        return fv(self)
-
-    def __str__(self):
-        return print_term(self)
-
 
 @dataclass(frozen=True)
-class App:
+class App(_Term):
     fn: "FiniteTerm"
     arg: "FiniteTerm"
 
     def act(self, p: Perm) -> "App":
         return App(self.fn.act(p), self.arg.act(p))
 
-    def support(self) -> frozenset[Atom]:
-        return fv(self)
-
-    def __str__(self):
-        return print_term(self)
-
 
 @dataclass(frozen=True)
-class Mu:
+class Mu(_Term):
     label: str
     body: "MuTerm"
 
-    def __str__(self):
-        return print_term(self)
-
 
 @dataclass(frozen=True)
-class Ref:
+class Ref(_Term):
     label: str
-
-    def __str__(self):
-        return print_term(self)
 
 
 FiniteTerm = Var | Bot | Lam | App
@@ -341,7 +322,11 @@ class TermGraph:
 
     def __init__(self, nodes: dict[int, tuple], root: int):
         for nid, label in nodes.items():
-            for child in _children(label):
+            try:
+                kids = _children(label)
+            except ValueError as e:
+                raise ValueError(f"node {nid}: {e}") from None
+            for child in kids:
                 if child not in nodes:
                     raise ValueError(f"node {nid} references missing node {child}")
         if root not in nodes:
@@ -379,16 +364,7 @@ class TermGraph:
 
     def act(self, p: Perm) -> "TermGraph":
         """Rename every atom occurrence, binders and leaves alike."""
-        def rn(label):
-            match label:
-                case ("var", a):
-                    return ("var", p(a))
-                case ("lam", x, b):
-                    return ("lam", p(x), b)
-                case other:
-                    return other
-
-        return TermGraph({n: rn(l) for n, l in self.nodes.items()}, self.root)
+        return TermGraph({n: _lmap(l, p) for n, l in self.nodes.items()}, self.root)
 
     def __str__(self):
         return print_graph(self)
@@ -398,13 +374,29 @@ class TermGraph:
 
 
 def _children(label: tuple) -> tuple[int, ...]:
+    """The children of a label; a label of no λ-tree kind and arity is a ValueError."""
     match label:
         case ("lam", _, b):
             return (b,)
         case ("app", f, a):
             return (f, a)
-        case _:
+        case ("var", _) | ("bot",):
             return ()
+    raise ValueError(f"malformed label {label!r}")
+
+
+def _lmap(label: tuple, name: Callable = lambda a: a, child: Callable = lambda c: c) -> tuple:
+    """The λ-tree functor L X = V + [V]X + X×X on maps: `name` on the label's
+    atoms, `child` on its children.  Graph labels, step views and concrete
+    steps are all elements of some L X.  ⊥ is returned as it is."""
+    match label:
+        case ("var", a):
+            return ("var", name(a))
+        case ("lam", x, b):
+            return ("lam", name(x), child(b))
+        case ("app", f, a):
+            return ("app", child(f), child(a))
+    return label
 
 
 def graph_of(t: MuTerm) -> TermGraph:
@@ -687,15 +679,6 @@ def minimize(g: TermGraph) -> TermGraph:
     cls = _classes(g, lambda n: _label_key(g.nodes[n]))
     nodes: dict[int, tuple] = {}
     for n, c in cls.items():
-        if c in nodes:
-            continue
-        match g.nodes[n]:
-            case ("var", a):
-                nodes[c] = ("var", a)
-            case ("bot",):
-                nodes[c] = ("bot",)
-            case ("lam", x, b):
-                nodes[c] = ("lam", x, cls[b])
-            case ("app", f, a):
-                nodes[c] = ("app", cls[f], cls[a])
+        if c not in nodes:
+            nodes[c] = _lmap(g.nodes[n], child=cls.__getitem__)
     return TermGraph(nodes, cls[g.root])

@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 
@@ -25,9 +26,9 @@ from ratlam import (
     print_graph,
     truncate,
 )
-from ratlam.boehm import _canonicalize
+from ratlam.boehm import _canonicalize, _spine, _unspine
 
-from conftest import alpha_eq_finite
+from conftest import alpha_eq_finite, random_finite_term
 
 # ---------------------------------------------------------------------------
 # Head reduction
@@ -76,6 +77,13 @@ def test_hnf_reassembly():
     t = parse_term(r"\v0. \v1. v0 v1 v2")
     res = head_reduce(t, 1)
     assert alpha_eq_finite(res.term(), t)
+
+
+def test_unspine_inverts_spine():
+    rng = random.Random(29)
+    for _ in range(500):
+        t = random_finite_term(rng, 6)
+        assert _unspine(*_spine(t)) == t
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,7 @@ _PAIR = (
     "step var = var 1\n"
     "step pair = app var(1) var(2)\n"
 )
+_VAR_STEP = "orbit o arity=1 stab=trivial\nstep o = var {}\n"
 
 
 @pytest.mark.parametrize("text, root", [
@@ -172,14 +173,30 @@ _PAIR = (
     (_PAIR + "step var = var 1\n", "pair(v0,v1)"),
     ("orbit o arity=1 stab=trivial\nstep o = app q(1) o(1)\n", "o(v0)"),
     (_PAIR, "zz(v0)"),
+    (_VAR_STEP.format(0), "o(v0)"),
+    (_VAR_STEP.format(5), "o(v0)"),
 ], ids=["stab-slot-3-at-arity-2", "stab-slot-0", "stab-unclosed", "stab-word",
         "root-leading-zero", "step-of-undeclared-orbit", "second-step",
-        "target-of-undeclared-orbit", "root-of-undeclared-orbit"])
+        "target-of-undeclared-orbit", "root-of-undeclared-orbit", "var-slot-0", "var-slot-5"])
 def test_c_construct_rejects_invalid_input(tmp_path, capsys, text, root):
     coalg = tmp_path / "bad.coalg"
     coalg.write_text(text)
     assert _run(["c-construct", str(coalg), root]) == (2, "")
     assert capsys.readouterr().err.startswith("error: invalid coalgebra: ")
+
+
+@pytest.mark.parametrize("text, slot", [
+    (_VAR_STEP.format(0), "slot 0"),
+    (_VAR_STEP.format(5), "slot 5"),
+    ("orbit o arity=1 stab=trivial\nstep o = abs 2 o(1)\n", "binder slot 2"),
+    ("orbit o arity=1 stab=trivial\nstep o = app o(3) o(1)\n", "slot 3"),
+])
+def test_slot_messages_name_slots_as_the_file_does(tmp_path, capsys, text, slot):
+    coalg = tmp_path / "bad.coalg"
+    coalg.write_text(text)
+    assert _run(["c-construct", str(coalg), "o(v0)"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err == f"error: invalid coalgebra: step of 'o': {slot} out of range\n"
 
 
 def test_examples_pair_roundtrips():

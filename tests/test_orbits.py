@@ -166,6 +166,22 @@ def test_enumeration_matches_brute_force():
             assert any(e == o for o in out)
 
 
+def test_enumeration_yields_canonical_tuples_in_increasing_order():
+    rng = random.Random(38)
+    for _ in range(200):
+        drawn = [_random_schema(rng) for _ in range(rng.randint(1, 3))]
+        schemas = tuple(OrbitSchema(f"s{i}", s.arity, s.stabilizer) for i, s in enumerate(drawn))
+        pool = rng.sample([Atom(i) for i in range(6)], rng.randint(0, 4))
+        out = enumerate_support_in(OrbitSet(schemas), pool)
+        assert all(e.atoms == e.canonical() for e in out)
+        parts = [[e for e in out if e.schema is schema] for schema in schemas]
+        assert out == [e for part in parts for e in part]  # schemas in presentation order
+        for schema, part in zip(schemas, parts):
+            assert all(a.atoms < b.atoms for a, b in zip(part, part[1:]))
+            assert set(part) == {OrbitElement(schema, t)
+                                 for t in itertools.permutations(pool, schema.arity)}
+
+
 def test_elem_eq_act_invariant():
     rng = random.Random(41)
     for _ in range(200):

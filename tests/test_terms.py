@@ -24,9 +24,10 @@ from ratlam import (
     print_term,
     rsigma_count,
     subtree_count,
+    swap,
     truncate,
 )
-from ratlam.terms import _bisim_check, _classes, _label_key
+from ratlam.terms import _bisim_check, _classes, _label_key, _lmap
 
 from conftest import (
     CORPUS,
@@ -167,6 +168,31 @@ def test_graph_validation():
         TermGraph({0: ("lam", Atom(0), 1)}, 0)
     with pytest.raises(ValueError):
         TermGraph({0: ("var", Atom(0))}, 1)
+
+
+@pytest.mark.parametrize("nodes, bad", [
+    ({0: ("app", 1, 2), 1: ("var", Atom(0)), 2: ("const", "c")}, 2),
+    ({0: ("lam", Atom(1))}, 0),
+    ({0: ("app", 0)}, 0),
+    ({0: ("var", Atom(0), 0)}, 0),
+    ({0: ("bot", 0)}, 0),
+], ids=["unknown-kind", "lam-without-child", "app-with-one-child", "var-with-child",
+        "bot-with-child"])
+def test_graph_rejects_malformed_labels(nodes, bad):
+    with pytest.raises(ValueError, match=rf"^node {bad}: malformed label"):
+        TermGraph(nodes, 0)
+
+
+_LABELS = [("var", Atom(0)), ("bot",), ("lam", Atom(1), 3), ("app", 2, 5)]
+
+
+@pytest.mark.parametrize("label", _LABELS, ids=[label[0] for label in _LABELS])
+def test_lmap_is_a_functor(label):
+    p, q = swap(Atom(0), Atom(1)), swap(Atom(1), Atom(2))
+    f, g = (lambda c: c + 1), (lambda c: 2 * c)
+    assert _lmap(label) == _lmap(label, lambda a: a, lambda c: c) == label
+    assert (_lmap(_lmap(label, p, f), q, g)
+            == _lmap(label, lambda a: q(p(a)), lambda c: g(f(c))))
 
 
 def test_graph_act_and_support():
