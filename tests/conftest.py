@@ -13,6 +13,7 @@ from ratlam import (
     Bot,
     ConcreteCoalgebra,
     FRESH,
+    InvalidCoalgebra,
     Lam,
     Mu,
     OrbitElement,
@@ -28,6 +29,7 @@ from ratlam import (
     parse_term,
     print_term,
     swap,
+    validate_coalgebra,
 )
 from ratlam.terms import FiniteTerm, MuTerm, _bisim_check, _children, _label_key, minimize
 
@@ -162,6 +164,34 @@ def random_symbolic_coalgebra(rng: random.Random):
     root_idx = rng.choice([i for i in range(n)])
     root = OrbitElement(schemas[root_idx], tuple(Atom(j) for j in range(arities[root_idx])))
     return sym, root
+
+
+def random_stabilized_coalgebra(rng: random.Random):
+    """A random valid coalgebra in which one orbit has a nontrivial stabilizer
+    (a swap of two slots, or the rotations of three), plus a root element of
+    that orbit at a random atom tuple.  A candidate that `validate_coalgebra`
+    rejects is drawn again."""
+    while True:
+        sym, _ = random_symbolic_coalgebra(rng)
+        big = [s for s in sym.carrier if s.arity >= 2]
+        if not big:
+            continue
+        s = rng.choice(big)
+        if s.arity == 3 and rng.random() < 0.5:
+            stab = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+        else:
+            g = list(range(s.arity))
+            i, j = rng.sample(range(s.arity), 2)
+            g[i], g[j] = g[j], g[i]
+            stab = {tuple(range(s.arity)), tuple(g)}
+        schemas = tuple(OrbitSchema(x.id, x.arity, frozenset(stab)) if x is s else x
+                        for x in sym.carrier)
+        cand = SymbolicCoalgebra(OrbitSet(schemas), sym.steps)
+        try:
+            validate_coalgebra(cand)
+        except InvalidCoalgebra:
+            continue
+        return cand, cand.element(s.id, [Atom(a) for a in rng.sample(range(6), s.arity)])
 
 
 def glued(g: TermGraph) -> TermGraph:

@@ -47,6 +47,7 @@ from conftest import (
     CORPUS,
     random_finite_term,
     random_perm,
+    random_stabilized_coalgebra,
     random_symbolic_coalgebra,
     random_term_graph,
 )
@@ -70,16 +71,28 @@ def _coalgebra_outputs():
         yield print_coalgebra(sym) + f"root {root}"
 
 
-def _c_construct_outputs(enumerative: bool):
-    def construct(sym, root):
-        g = c_construct(instantiate(sym), root, sym.carrier if enumerative else None)
-        return _graph_text(g) + print_graph(g)
+def _construct(sym, root, enumerative: bool) -> str:
+    g = c_construct(instantiate(sym), root, sym.carrier if enumerative else None)
+    return _graph_text(g) + print_graph(g)
 
+
+def _c_construct_outputs(enumerative: bool):
     for g in _graphs():
-        yield construct(*graph_to_coalgebra(g))
+        yield _construct(*graph_to_coalgebra(g), enumerative)
     rng = random.Random(13)
     for _ in range(300):
-        yield construct(*random_symbolic_coalgebra(rng))
+        yield _construct(*random_symbolic_coalgebra(rng), enumerative)
+
+
+def _c_construct_stabilized_outputs():
+    """Coalgebras with one stabilized orbit: the printed file and root, then
+    both modes of c_construct."""
+    rng = random.Random(17)
+    for _ in range(200):
+        sym, root = random_stabilized_coalgebra(rng)
+        yield print_coalgebra(sym) + f"root {root}"
+        yield _construct(sym, root, True)
+        yield _construct(sym, root, False)
 
 
 def _act_outputs():
@@ -154,6 +167,7 @@ FAMILIES = {
     "print_coalgebra": _coalgebra_outputs,
     "c_construct_enumerative": lambda: _c_construct_outputs(True),
     "c_construct_reachable": lambda: _c_construct_outputs(False),
+    "c_construct_stabilized": _c_construct_stabilized_outputs,
     "orbit_count": lambda: (str(orbit_count(g)) for g in _graphs()),
     "minimize": lambda: (_graph_text(minimize(g)) for g in _graphs()),
     "act": _act_outputs,
@@ -182,6 +196,7 @@ DIGESTS = {
     'bt_truncate': 'fb592d217dc3a4f99c50c90eb7fd7cd54063caea6989860b1c27853d89d2b788',
     'c_construct_enumerative': '91807c0592f225f9f897ffc717990f930678e0c00ee935001729795cbc34c002',
     'c_construct_reachable': '63a29656613cabb49809186a9c80cf3e7a6206a67cb42b0c30593b3f21133c3d',
+    'c_construct_stabilized': '02d5c4514dc2dc3d5061d9093ea6c0ff163750fea3a5fb3ef42e32093fb25efe',
     'cli': '68c1abb89ccd7b3237dd5312917288b88022d02adcc2bc441ae1744901ea5113',
     'enumerate_support_in': '70d54b0a8a13715ae1eec2dca7312274ef2bd0930073402fc5eae1d16a70035c',
     'gen_rsigma': 'c32bbb791906fcecb5714923e35ea4701858c72890adacb316ac6f69030f4e25',

@@ -15,6 +15,7 @@ from ratlam import (
     enumerate_support_in,
     validate_orbit_set,
 )
+from ratlam.orbits import apply_slot_perm
 
 from conftest import random_perm
 
@@ -190,3 +191,18 @@ def test_elem_eq_act_invariant():
         e2 = _random_element(rng, schema)
         p = random_perm(rng)
         assert (e1 == e2) == (e1.act(p) == e2.act(p))
+
+
+def test_elem_eq_and_hash_follow_schema_id_and_least_tuple():
+    rng = random.Random(43)
+    for _ in range(500):
+        s1 = _random_schema(rng)
+        s2 = rng.choice([s1, OrbitSchema("t", s1.arity, s1.stabilizer)])
+        pool = [Atom(i) for i in range(s1.arity + 1)]
+        t1, t2 = (tuple(rng.sample(pool, s1.arity)) for _ in range(2))
+        e1, e2 = OrbitElement(s1, t1), OrbitElement(s2, t2)
+        least1 = min(apply_slot_perm(g, t1) for g in s1.stabilizer)
+        least2 = min(apply_slot_perm(g, t2) for g in s2.stabilizer)
+        same = s1.id == s2.id and least1 == least2
+        assert (e1 == e2) == same
+        assert (hash(e1) == hash(e2)) == same
