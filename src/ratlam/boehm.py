@@ -124,7 +124,7 @@ def _canonicalize(t: FiniteTerm) -> FiniteTerm:
     α-equivalent terms with the same free variables get identical results,
     which makes canonical forms usable as memo keys.
     """
-    taken = {a.index for a in fv(t)}
+    taken = fv(t)
     names = (Atom(i) for i in itertools.count() if i not in taken)
     return _rename_binders(t, {}, names)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Callable
 
-from .nominal import Atom, Perm, abstraction_eq, fresh_atom, fresh_atoms, swap
+from .nominal import Atom, abstraction_eq, fresh_atom, fresh_atoms, swap
 from .orbits import (
     OrbitElement,
     OrbitSchema,
@@ -99,75 +99,88 @@ def _check_target(c: SymbolicCoalgebra, schema: OrbitSchema, target: tuple,
     if len(assignment) - len(slots) > 1:
         raise InvalidCoalgebra(f"step of {schema.id!r}: more than one FRESH slot")
     for s in slots:
+        if type(s) is not int:
+            raise InvalidCoalgebra(f"step of {schema.id!r}: {s!r} in an assignment is not a slot")
         if s not in range(schema.arity):
             raise InvalidCoalgebra(f"step of {schema.id!r}: slot {s + 1} out of range")
     if len(set(slots)) != len(slots):
         raise InvalidCoalgebra(f"step of {schema.id!r}: assignment not injective")
 
 
-def _target_element(c: SymbolicCoalgebra, target: tuple, atoms: tuple[Atom, ...],
-                    fresh: Atom | None = None) -> OrbitElement:
-    """The element a target names at the atoms, with `fresh` in a FRESH slot."""
-    sid, assignment = target
-    return OrbitElement(c.carrier[sid],
-                        tuple([fresh if s is FRESH else atoms[s] for s in assignment]))
+def _step_of_tuple(c: SymbolicCoalgebra, schema: OrbitSchema) -> Callable:
+    """The schema's step view as a function of a concrete atom tuple, with the
+    target orbits looked up once.  A λ's binder, its slot's atom or else the
+    least fresh one, fills FRESH slots: it is read as one more atom, at
+    position `arity` of the tuple."""
+    match c.steps[schema.id]:
+        case ("var", src):
+            return lambda atoms: ("var", atoms[src])
+        case ("app", (left, lslots), (right, rslots)):
+            ls, rs = c.carrier[left], c.carrier[right]
+            return lambda atoms: ("app", OrbitElement(ls, tuple([atoms[s] for s in lslots])),
+                                  OrbitElement(rs, tuple([atoms[s] for s in rslots])))
+        case ("lam", b, (body, slots)):
+            bs, k = c.carrier[body], schema.arity
+            slots = tuple([k if s is FRESH else s for s in slots])
+
+            def lam(atoms):
+                v = fresh_atom(atoms) if b is FRESH else atoms[b]
+                atoms += (v,)
+                return ("lam", v, OrbitElement(bs, tuple([atoms[s] for s in slots])))
+
+            return lam
 
 
-def _step_of_tuple(c: SymbolicCoalgebra, schema: OrbitSchema, atoms: tuple[Atom, ...]):
-    """Instantiate the schema's step view at a concrete atom tuple.  A λ's
-    binder, its slot's atom or else the least fresh one, fills FRESH slots."""
-    view = c.steps[schema.id]
-    v = None
-    if view[0] == "lam":
-        v = fresh_atom(atoms) if view[1] is FRESH else atoms[view[1]]
-    return _lmap(view, lambda s: v if s is FRESH else atoms[s],
-                 lambda target: _target_element(c, target, atoms, v))
-
-
-def validate_coalgebra(c: SymbolicCoalgebra) -> SymbolicCoalgebra:
-    """Check the step shapes, slot sanity and well-definedness under every
-    stabilizer member."""
+def _steps(c: SymbolicCoalgebra) -> dict[str, Callable]:
+    """Each orbit's `_step_of_tuple`, after checking the step shapes, slot
+    sanity and well-definedness under every stabilizer member."""
     validate_orbit_set(c.carrier.schemas)
     if stray := c.steps.keys() - {schema.id for schema in c.carrier}:
         raise InvalidCoalgebra(f"step for undeclared orbit {min(stray)!r}")
+    steps = {}
     for schema in c.carrier:
         if schema.id not in c.steps:
             raise InvalidCoalgebra(f"orbit {schema.id!r} has no step")
+        # a slot is a plain int: an Atom is an int, but not a slot
         match c.steps[schema.id]:
-            case ("var", int(src)):
+            case ("var", src) if type(src) is int:
                 if src not in range(schema.arity):
                     raise InvalidCoalgebra(f"step of {schema.id!r}: slot {src + 1} out of range")
             case ("app", (str(), tuple()) as left, (str(), tuple()) as right):
                 _check_target(c, schema, left, allow_fresh=False)
                 _check_target(c, schema, right, allow_fresh=False)
-            case ("lam", None | int() as b, (str(), tuple()) as body):
+            case ("lam", b, (str(), tuple()) as body) if b is FRESH or type(b) is int:
                 if b is not FRESH and b not in range(schema.arity):
                     raise InvalidCoalgebra(
                         f"step of {schema.id!r}: binder slot {b + 1} out of range")
                 _check_target(c, schema, body, allow_fresh=True)
             case view:
                 raise InvalidCoalgebra(f"step of {schema.id!r} is not a step view: {view!r}")
+        step = steps[schema.id] = _step_of_tuple(c, schema)
         # well-definedness on the stabilizer quotient, checked exhaustively
         base = tuple(Atom(i) for i in range(schema.arity))
-        s0 = _step_of_tuple(c, schema, base)
+        s0 = step(base)
         for g in schema.stabilizer:
-            sg = _step_of_tuple(c, schema, apply_slot_perm(g, base))
+            sg = step(apply_slot_perm(g, base))
             agree = s0 == sg or s0[0] == sg[0] == "lam" and abstraction_eq(*s0[1:], *sg[1:])
             if not agree:
                 raise InvalidCoalgebra(
                     f"step of {schema.id!r} is not well-defined under stabilizer {g}"
                 )
+    return steps
+
+
+def validate_coalgebra(c: SymbolicCoalgebra) -> SymbolicCoalgebra:
+    """Check the step shapes, slot sanity and well-definedness under every
+    stabilizer member."""
+    _steps(c)
     return c
 
 
 def instantiate(c: SymbolicCoalgebra) -> ConcreteCoalgebra:
-    validate_coalgebra(c)
+    steps = _steps(c)
     m = max((s.arity for s in c.carrier), default=0)
-
-    def step_fn(e: OrbitElement):
-        return _step_of_tuple(c, e.schema, e.atoms)
-
-    return ConcreteCoalgebra(step_fn, m)
+    return ConcreteCoalgebra(lambda e: steps[e.schema.id](e.atoms), m)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +213,10 @@ def c_construct(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) 
     enumerative = carrier is not None
 
     def node_id(e, from_step: bool = True):
+        if (i := ids.get(e)) is not None:  # its support was checked when it was added
+            return i
         if len(e.support()) > m:
             raise SupportTooLarge(e)
-        if e in ids:
-            return ids[e]
         if enumerative and from_step:
             raise EscapesCarrier(e)
         ids[e] = len(ids)
@@ -476,9 +489,17 @@ def _target_str(target: tuple) -> str:
 
 
 def _cycles_str(g: tuple[int, ...]) -> str:
-    """A slot permutation as a product of cycles over the 1-based slots."""
-    p = Perm({Atom(i + 1): Atom(j + 1) for i, j in enumerate(g)})
-    return "".join(f"({' '.join(str(a.index) for a in cyc)})" for cyc in p.cycles())
+    """A slot permutation as a product of cycles over the 1-based slots,
+    each cycle from its least slot, in order of those."""
+    out, seen = "", set()
+    for i in range(len(g)):
+        if g[i] != i and i not in seen:
+            cyc = [i]
+            while g[cyc[-1]] != i:
+                cyc.append(g[cyc[-1]])
+            seen.update(cyc)
+            out += f"({' '.join(str(s + 1) for s in cyc)})"
+    return out
 
 
 def print_coalgebra(c: SymbolicCoalgebra) -> str:

@@ -7,25 +7,35 @@ computing the (finite) support of a value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """A variable name v_i from the countable universe, ordered by index."""
+class Atom(int):
+    """A variable name v_i from the countable universe, ordered by index.
 
-    index: int
+    An atom is the int i, so hashing, equality and ordering run at C speed.
+    `Atom(1) == 1` and the two hash alike: a set or dict that mixes atoms
+    with other ints, such as node ids or slot indices, merges them.
+    """
 
-    def __post_init__(self):
-        if self.index < 0:
+    __slots__ = ()
+
+    def __new__(cls, index: int):
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise TypeError(f"atom index must be an int, not {type(index).__name__}")
+        if index < 0:
             raise ValueError("atom index must be a natural number")
+        return super().__new__(cls, index)
+
+    @property
+    def index(self) -> int:
+        return int(self)
 
     def __str__(self):
-        return f"v{self.index}"
+        return f"v{int(self)}"
 
     def __repr__(self):
-        return f"Atom({self.index})"
+        return f"Atom({int(self)})"
 
 
 class Perm:
@@ -106,8 +116,8 @@ def swap(a: Atom, b: Atom) -> Perm:
 
 
 def fresh_atom(avoid: Iterable[Atom]) -> Atom:
-    """The least atom whose index is not taken by any atom in avoid."""
-    taken = {a.index for a in avoid}
+    """The least atom not in avoid."""
+    taken = set(avoid)
     i = 0
     while i in taken:
         i += 1
@@ -116,7 +126,7 @@ def fresh_atom(avoid: Iterable[Atom]) -> Atom:
 
 def fresh_atoms(avoid: Iterable[Atom], n: int) -> list[Atom]:
     """The n least atoms outside avoid, in increasing order."""
-    taken = {a.index for a in avoid}
+    taken = set(avoid)
     out: list[Atom] = []
     i = 0
     while len(out) < n:

@@ -50,15 +50,21 @@ def apply_slot_perm(g: SlotPerm, t: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class OrbitSchema:
-    """One orbit: injective `arity`-tuples of atoms modulo `stabilizer`."""
+    """One orbit: injective `arity`-tuples of atoms modulo `stabilizer`.
+
+    `trivial` records that the stabilizer is the identity alone, so that
+    every tuple is its own class."""
 
     id: str
     arity: int
     stabilizer: frozenset[SlotPerm] = field(default=None)  # type: ignore[assignment]
+    trivial: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        ident = frozenset({slot_identity(self.arity)})
         if self.stabilizer is None:
-            object.__setattr__(self, "stabilizer", frozenset({slot_identity(self.arity)}))
+            object.__setattr__(self, "stabilizer", ident)
+        object.__setattr__(self, "trivial", self.stabilizer == ident)
 
     def check(self):
         ident = slot_identity(self.arity)
@@ -107,10 +113,12 @@ class OrbitElement:
     """A schema together with an injective atom tuple, modulo the stabilizer.
 
     Equality and hashing go through the canonical representative: the
-    lexicographically least tuple in the stabilizer class.
+    lexicographically least tuple in the stabilizer class, which under a
+    trivial stabilizer is the tuple itself.  The hash is computed once, when
+    the element is built.
     """
 
-    __slots__ = ("schema", "atoms", "_canon")
+    __slots__ = ("schema", "atoms", "_canon", "_hash")
 
     def __init__(self, schema: OrbitSchema, atoms: tuple[Atom, ...]):
         atoms = tuple(atoms)
@@ -122,7 +130,9 @@ class OrbitElement:
             raise ValueError("atom tuple entries must be pairwise distinct")
         self.schema = schema
         self.atoms = atoms
-        self._canon = min(apply_slot_perm(g, atoms) for g in schema.stabilizer)
+        self._canon = atoms if schema.trivial else min(
+            apply_slot_perm(g, atoms) for g in schema.stabilizer)
+        self._hash = hash((schema.id, self._canon))
 
     def canonical(self) -> tuple[Atom, ...]:
         return self._canon
@@ -135,7 +145,7 @@ class OrbitElement:
         )
 
     def __hash__(self):
-        return hash((self.schema.id, self._canon))
+        return self._hash
 
     def support(self) -> frozenset[Atom]:
         return frozenset(self.atoms)

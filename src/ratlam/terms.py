@@ -127,7 +127,7 @@ class UnguardedMu(ValueError):
         self.label = label
 
 
-# Exactly the names `_atom_name` prints: no leading zero.
+# Exactly the names an `Atom` prints as: no leading zero.
 _ATOM_NAME = r"v(0|[1-9][0-9]*)"
 
 
@@ -279,10 +279,6 @@ def parse_term(text: str, interner: Interner | None = None) -> MuTerm:
 # Pretty printing (ASCII form of the same grammar)
 
 
-def _atom_name(a: Atom) -> str:
-    return f"v{a.index}"
-
-
 def print_term(t: MuTerm) -> str:
     return _print(t, "top")
 
@@ -291,13 +287,13 @@ def _print(t: MuTerm, ctx: str) -> str:
     # ctx: 'top' (binder bodies), 'fn' (left of application), 'arg'
     match t:
         case Var(a):
-            return _atom_name(a)
+            return str(a)
         case Bot():
             return "_|_"
         case Ref(l):
             return f"#{l}"
         case Lam(x, b):
-            s = f"\\{_atom_name(x)}. {_print(b, 'top')}"
+            s = f"\\{x}. {_print(b, 'top')}"
             return s if ctx == "top" else f"({s})"
         case Mu(l, b):
             s = f"mu {l}. {_print(b, 'top')}"

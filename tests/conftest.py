@@ -443,7 +443,7 @@ def naive_unfold(conc: ConcreteCoalgebra, root, depth: int) -> FiniteTerm:
     It never reuses a binder name, so it exercises none of c_construct's
     name-pool bookkeeping.
     """
-    top = max((a.index for a in root.support()), default=-1)
+    top = max(root.support(), default=-1)
     counter = itertools.count(top + conc.support_bound + 2)
 
     def go(e, d: int) -> FiniteTerm:

@@ -136,6 +136,18 @@ def test_validate_rejects_a_view_of_no_step_shape(view):
         validate_coalgebra(sym)
 
 
+@pytest.mark.parametrize("view", [
+    ("var", Atom(0)),
+    ("lam", Atom(0), ("o", (0,))),
+    ("app", ("o", (Atom(0),)), ("o", (0,))),
+])
+def test_validate_rejects_an_atom_as_a_slot(view):
+    # an Atom is an int, and Atom(0) == 0, but it names a variable, not a slot
+    sym, _ = _single(OrbitSchema("o", 1), view, (Atom(0),))
+    with pytest.raises(InvalidCoalgebra):
+        validate_coalgebra(sym)
+
+
 def test_stabilizer_well_definedness():
     # under the slot swap, var-of-slot-1 changes: ill-defined on the quotient
     u = OrbitSchema("u", 2, S2)

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,15 +32,29 @@ def perms(draw):
 
 def test_atom_ordering_and_printing():
     assert Atom(0) < Atom(1) < Atom(10)
-    assert str(Atom(3)) == "v3"
+    assert sorted([Atom(10), Atom(2), Atom(9)]) == [Atom(2), Atom(9), Atom(10)]
+    assert str(Atom(3)) == "v3" and f"{Atom(3)}" == "v3"
+    assert repr(Atom(3)) == "Atom(3)"
+    assert repr((Atom(0), ("var", Atom(12)))) == "(Atom(0), ('var', Atom(12)))"
     assert Atom(2) == Atom(2)
 
 
-def test_atom_rejects_negative_index():
-    import pytest
+def test_atom_is_an_int():
+    a = Atom(7)
+    assert a.index == 7 and type(a.index) is int
+    assert a == 7 and hash(a) == hash(7)
+    assert Atom(a) == a and type(Atom(a)) is Atom
 
+
+def test_atom_rejects_negative_index():
     with pytest.raises(ValueError):
         Atom(-1)
+
+
+@pytest.mark.parametrize("index", ["3", 1.0, True])
+def test_atom_rejects_non_ints(index):
+    with pytest.raises(TypeError):
+        Atom(index)
 
 
 def test_swap_basics():
@@ -60,8 +75,6 @@ def test_compose_worked_example():
 
 
 def test_perm_rejects_non_bijections():
-    import pytest
-
     with pytest.raises(ValueError):
         Perm({Atom(0): Atom(1)})  # domain != image
 
