@@ -14,9 +14,7 @@ from .orbits import (
     OrbitElement,
     OrbitSchema,
     OrbitSet,
-    count_same_support,
     enumerate_support_in,
-    validate_orbit_set,
 )
 from .terms import (
     BOT,
@@ -59,7 +57,6 @@ from .coalgebra import (
     print_coalgebra,
     rsigma_count,
     size_bound,
-    validate_coalgebra,
 )
 from .substitution import InTriple, subst_finite, subst_rational
 from .boehm import (

@@ -78,8 +78,6 @@ def head_reduce(t: FiniteTerm, fuel: int) -> HnfDecomposition | BottomVerdict:
                 return BottomVerdict(fuel_exhausted=False)
             case Lam(x, b):
                 # head is a redex: (λx.b) args[0] args[1:] under the binders
-                if not args:
-                    raise AssertionError("spine stripping left a bare lambda")
                 if fuel <= 0:
                     return BottomVerdict(fuel_exhausted=True)
                 fuel -= 1
@@ -142,52 +140,41 @@ def _rename_binders(t: FiniteTerm, bound: dict[Atom, Atom], names: Iterator[Atom
             return Lam(x2, _rename_binders(b, {**bound, x: x2}, names))
 
 
-class _StateBudgetExceeded(Exception):
-    pass
-
-
 def bt_graph(t: FiniteTerm, budget: BtBudget) -> TermGraph | None:
     """Try to build the Böhm tree as a finite graph; None means unknown.
 
-    Pending terms are memoized by α-canonical form (free atoms stay
-    concrete); a recurring state becomes a back edge.  If the state budget
-    is exceeded the Böhm tree may still be rational — this is a
-    semi-decision.
+    States are memoized by α-canonical form (free atoms stay concrete); a
+    recurring state becomes a back edge.  The answer is None exactly when
+    more than `budget.states` states are reachable or one of them runs out
+    of fuel, whatever the visiting order; the Böhm tree may still be
+    rational — this is a semi-decision.
     """
     nodes: dict[int, tuple] = {}
-    memo: dict[FiniteTerm, int] = {}
-    counter = itertools.count()
-
-    def build(term: FiniteTerm) -> int:
-        key = _canonicalize(term)
-        if key in memo:
-            return memo[key]
-        if len(memo) >= budget.states:
-            raise _StateBudgetExceeded
-        nid = next(counter)
-        memo[key] = nid
+    memo: dict[FiniteTerm, int] = {_canonicalize(t): 0}
+    pending = list(memo)
+    counter = itertools.count(1)
+    while pending:
+        key = pending.pop()
         res = head_reduce(key, budget.fuel)
         if isinstance(res, BottomVerdict):
             if res.fuel_exhausted:
-                raise _StateBudgetExceeded  # honest unknown, not a ⊥ claim
-            nodes[nid] = ("bot",)
-            return nid
+                return None  # honest unknown, not a ⊥ claim
+            nodes[memo[key]] = ("bot",)
+            continue
         # emit the hnf skeleton inside out; its outermost node is the state node
-        ids = [next(counter) for _ in range(len(res.args) + len(res.binders))] + [nid]
+        ids = [next(counter) for _ in range(len(res.args) + len(res.binders))] + [memo[key]]
         nodes[ids[0]] = ("var", res.head)
         for i, arg in enumerate(res.args, 1):
-            nodes[ids[i]] = ("app", ids[i - 1], build(arg))
+            arg = _canonicalize(arg)
+            if arg not in memo:
+                if len(memo) >= budget.states:
+                    return None
+                memo[arg] = next(counter)
+                pending.append(arg)
+            nodes[ids[i]] = ("app", ids[i - 1], memo[arg])
         for i, x in enumerate(reversed(res.binders), len(res.args) + 1):
             nodes[ids[i]] = ("lam", x, ids[i - 1])
-        return nid
-
-    try:
-        root = build(t)
-    except _StateBudgetExceeded:
-        return None
-    finally:
-        del build  # it refers to itself: a cycle that would hold the memo
-    return TermGraph(nodes, root)
+    return TermGraph(nodes, 0)
 
 
 # ---------------------------------------------------------------------------

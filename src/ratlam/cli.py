@@ -11,7 +11,6 @@ import sys
 
 from .boehm import BtBudget, bt_graph, bt_truncate, gen_s, gen_u
 from .coalgebra import (
-    InvalidCoalgebra,
     c_construct,
     gen_pair,
     gen_rsigma,
@@ -189,7 +188,7 @@ def run(argv, out=None) -> int:
                     root = parse_root(args.root, sym)
                     conc = instantiate(sym)
                     g = c_construct(conc, root, sym.carrier)
-                except (InvalidCoalgebra, ValueError) as e:
+                except ValueError as e:
                     raise CliError(f"invalid coalgebra: {e}")
                 n = len(sym.carrier.schemas)
                 print(print_graph(g), file=out)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 from typing import Callable
 
@@ -25,7 +25,7 @@ from .orbits import (
     OrbitSet,
     apply_slot_perm,
     enumerate_support_in,
-    validate_orbit_set,
+    slot_identity,
 )
 from .terms import _ATOM_NAME, TermGraph, _children, _classes, _lmap
 
@@ -42,13 +42,17 @@ class SymbolicCoalgebra:
     `("var", slot)`, `("lam", slot | FRESH, target)` or
     `("app", target, target)`.  An assignment gives, for each slot of the
     target, a slot of the orbit, or FRESH for the λ's binder.
+
+    The steps are checked when the coalgebra is built, and each orbit's step
+    function is kept for `instantiate`.
     """
 
     carrier: OrbitSet
     steps: dict[str, tuple]
+    _step_fns: dict[str, Callable] = field(init=False, repr=False, compare=False)
 
-    def element(self, schema_id: str, atoms) -> OrbitElement:
-        return OrbitElement(self.carrier[schema_id], tuple(atoms))
+    def __post_init__(self):
+        object.__setattr__(self, "_step_fns", _steps(self))
 
 
 @dataclass
@@ -133,8 +137,7 @@ def _step_of_tuple(c: SymbolicCoalgebra, schema: OrbitSchema) -> Callable:
 
 def _steps(c: SymbolicCoalgebra) -> dict[str, Callable]:
     """Each orbit's `_step_of_tuple`, after checking the step shapes, slot
-    sanity and well-definedness under every stabilizer member."""
-    validate_orbit_set(c.carrier.schemas)
+    sanity and well-definedness under every non-identity stabilizer member."""
     if stray := c.steps.keys() - {schema.id for schema in c.carrier}:
         raise InvalidCoalgebra(f"step for undeclared orbit {min(stray)!r}")
     steps = {}
@@ -154,13 +157,18 @@ def _steps(c: SymbolicCoalgebra) -> dict[str, Callable]:
                     raise InvalidCoalgebra(
                         f"step of {schema.id!r}: binder slot {b + 1} out of range")
                 _check_target(c, schema, body, allow_fresh=True)
+                if b is not FRESH and b in body[1] and FRESH in body[1]:
+                    raise InvalidCoalgebra(
+                        f"step of {schema.id!r}: binder slot {b + 1} and FRESH both in the λ body")
             case view:
                 raise InvalidCoalgebra(f"step of {schema.id!r} is not a step view: {view!r}")
         step = steps[schema.id] = _step_of_tuple(c, schema)
+        if schema.trivial:
+            continue  # the identity agrees with itself
         # well-definedness on the stabilizer quotient, checked exhaustively
         base = tuple(Atom(i) for i in range(schema.arity))
         s0 = step(base)
-        for g in schema.stabilizer:
+        for g in schema.stabilizer - {slot_identity(schema.arity)}:
             sg = step(apply_slot_perm(g, base))
             agree = s0 == sg or s0[0] == sg[0] == "lam" and abstraction_eq(*s0[1:], *sg[1:])
             if not agree:
@@ -170,15 +178,9 @@ def _steps(c: SymbolicCoalgebra) -> dict[str, Callable]:
     return steps
 
 
-def validate_coalgebra(c: SymbolicCoalgebra) -> SymbolicCoalgebra:
-    """Check the step shapes, slot sanity and well-definedness under every
-    stabilizer member."""
-    _steps(c)
-    return c
-
-
 def instantiate(c: SymbolicCoalgebra) -> ConcreteCoalgebra:
-    steps = _steps(c)
+    """The concrete coalgebra of `c`, on the step functions kept when it was built."""
+    steps = c._step_fns
     m = max((s.arity for s in c.carrier), default=0)
     return ConcreteCoalgebra(lambda e: steps[e.schema.id](e.atoms), m)
 
@@ -480,7 +482,7 @@ def parse_coalgebra(text: str) -> SymbolicCoalgebra:
                 steps[sid] = ("lam", binder, _parse_target(*tm.groups()))
         else:
             raise InvalidCoalgebra(f"unrecognized line: {line!r}")
-    return SymbolicCoalgebra(validate_orbit_set(schemas), steps)
+    return SymbolicCoalgebra(OrbitSet(tuple(schemas)), steps)
 
 
 def _target_str(target: tuple) -> str:

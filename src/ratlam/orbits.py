@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import factorial
 
 from .nominal import Atom, Perm
 
@@ -53,7 +52,8 @@ class OrbitSchema:
     """One orbit: injective `arity`-tuples of atoms modulo `stabilizer`.
 
     `trivial` records that the stabilizer is the identity alone, so that
-    every tuple is its own class."""
+    every tuple is its own class.  Any other stabilizer is checked to be a
+    group of slot permutations when the schema is built."""
 
     id: str
     arity: int
@@ -61,13 +61,12 @@ class OrbitSchema:
     trivial: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ident = frozenset({slot_identity(self.arity)})
-        if self.stabilizer is None:
-            object.__setattr__(self, "stabilizer", ident)
-        object.__setattr__(self, "trivial", self.stabilizer == ident)
-
-    def check(self):
         ident = slot_identity(self.arity)
+        if self.stabilizer is None:
+            object.__setattr__(self, "stabilizer", frozenset({ident}))
+        object.__setattr__(self, "trivial", self.stabilizer == {ident})
+        if self.trivial:
+            return
         for g in self.stabilizer:
             if len(g) != self.arity or sorted(g) != list(range(self.arity)):
                 raise NotASubgroup(self.id, f"{g} is not a permutation of the slots")
@@ -100,13 +99,6 @@ class OrbitSet:
 
     def __iter__(self):
         return iter(self.schemas)
-
-
-def validate_orbit_set(schemas) -> OrbitSet:
-    s = OrbitSet(tuple(schemas))
-    for schema in s.schemas:
-        schema.check()
-    return s
 
 
 class OrbitElement:
@@ -175,17 +167,3 @@ def enumerate_support_in(s: OrbitSet, atoms) -> list[OrbitElement]:
             if e.atoms == e.canonical():
                 out.append(e)
     return out
-
-
-def count_same_support(schema: OrbitSchema, support) -> int:
-    """Number of distinct orbit elements whose support is exactly the given set.
-
-    By orbit-stabilizer this is arity! / |stabilizer|, which never exceeds
-    arity!.
-    """
-    support = set(support)
-    if len(support) != schema.arity:
-        raise ArityMismatch(
-            f"support size {len(support)} does not match arity {schema.arity}"
-        )
-    return factorial(schema.arity) // len(schema.stabilizer)

@@ -29,7 +29,6 @@ from ratlam import (
     parse_term,
     print_term,
     swap,
-    validate_coalgebra,
 )
 from ratlam.terms import FiniteTerm, MuTerm, _bisim_check, _children, _label_key, minimize
 
@@ -169,8 +168,8 @@ def random_symbolic_coalgebra(rng: random.Random):
 def random_stabilized_coalgebra(rng: random.Random):
     """A random valid coalgebra in which one orbit has a nontrivial stabilizer
     (a swap of two slots, or the rotations of three), plus a root element of
-    that orbit at a random atom tuple.  A candidate that `validate_coalgebra`
-    rejects is drawn again."""
+    that orbit at a random atom tuple.  A candidate that cannot be built as a
+    `SymbolicCoalgebra` is drawn again."""
     while True:
         sym, _ = random_symbolic_coalgebra(rng)
         big = [s for s in sym.carrier if s.arity >= 2]
@@ -186,12 +185,12 @@ def random_stabilized_coalgebra(rng: random.Random):
             stab = {tuple(range(s.arity)), tuple(g)}
         schemas = tuple(OrbitSchema(x.id, x.arity, frozenset(stab)) if x is s else x
                         for x in sym.carrier)
-        cand = SymbolicCoalgebra(OrbitSet(schemas), sym.steps)
         try:
-            validate_coalgebra(cand)
+            cand = SymbolicCoalgebra(OrbitSet(schemas), sym.steps)
         except InvalidCoalgebra:
             continue
-        return cand, cand.element(s.id, [Atom(a) for a in rng.sample(range(6), s.arity)])
+        atoms = tuple(Atom(a) for a in rng.sample(range(6), s.arity))
+        return cand, OrbitElement(cand.carrier[s.id], atoms)
 
 
 def glued(g: TermGraph) -> TermGraph:

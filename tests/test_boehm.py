@@ -189,6 +189,20 @@ def test_bt_graph_agrees_with_bt_truncate():
             assert alpha_eq_finite(truncate(g, d), bt_truncate(t, BtBudget(depth=max(d, 1))) if d else BOT)
 
 
+@pytest.mark.parametrize("term, states", [
+    (r"\x. x", 1),
+    (r"x (\y. y)", 2),
+    ("x y y", 2),  # the two arguments are one state
+    ("x (y z) (y z) z", 3),
+    (r"\x. x (\y. y x) (\z. z x)", 3),  # and so are α-equivalent ones
+])
+def test_bt_graph_state_budget_counts_distinct_states(term, states):
+    t = parse_term(term)
+    assert bt_graph(t, BtBudget(states=states)) is not None
+    if states > 1:
+        assert bt_graph(t, BtBudget(states=states - 1)) is None
+
+
 def test_bt_graph_unknown_on_divergence():
     # fuel exhaustion is not a bottom claim, so the result is unknown
     assert bt_graph(gen_omega(), BtBudget()) is None

@@ -199,6 +199,19 @@ def test_slot_messages_name_slots_as_the_file_does(tmp_path, capsys, text, slot)
     assert err == f"error: invalid coalgebra: step of 'o': {slot} out of range\n"
 
 
+def test_c_construct_rejects_a_binder_slot_beside_fresh(tmp_path, capsys):
+    coalg = tmp_path / "bad.coalg"
+    coalg.write_text(
+        "orbit a arity=1 stab=trivial\n"
+        "orbit b arity=2 stab=trivial\n"
+        "step a = abs 1 b(1,fresh)\n"
+        "step b = app a(1) a(2)\n"
+    )
+    assert _run(["c-construct", str(coalg), "a(v0)"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: invalid coalgebra: step of 'a': binder slot 1 and FRESH both in the λ body\n")
+
+
 def test_examples_pair_roundtrips():
     code, text = _run(["examples", "pair"])
     assert code == 0

@@ -14,6 +14,7 @@ from ratlam import (
     FRESH,
     InvalidCoalgebra,
     Lam,
+    NotASubgroup,
     OrbitElement,
     OrbitSchema,
     OrbitSet,
@@ -39,7 +40,6 @@ from ratlam import (
     subtree_count,
     swap,
     truncate,
-    validate_coalgebra,
 )
 from ratlam import coalgebra
 from ratlam.coalgebra import _classes, _free_orders, _orbit_classes
@@ -61,9 +61,8 @@ from conftest import (
 S2 = frozenset({(0, 1), (1, 0)})
 
 
-def _single(schema, step, root_atoms=()):
-    sym = SymbolicCoalgebra(OrbitSet((schema,)), {schema.id: step})
-    return sym, OrbitElement(schema, root_atoms)
+def _single(schema, step):
+    return SymbolicCoalgebra(OrbitSet((schema,)), {schema.id: step})
 
 
 # ---------------------------------------------------------------------------
@@ -72,31 +71,26 @@ def _single(schema, step, root_atoms=()):
 
 def test_validate_pair():
     sym, _ = gen_pair()
-    validate_coalgebra(sym)
+    assert set(sym._step_fns) == {"var", "pair"}
 
 
 def test_validate_rejects_missing_step():
-    sym = SymbolicCoalgebra(OrbitSet((OrbitSchema("o", 1),)), {})
     with pytest.raises(InvalidCoalgebra):
-        validate_coalgebra(sym)
+        SymbolicCoalgebra(OrbitSet((OrbitSchema("o", 1),)), {})
     # and a step for an orbit the carrier does not declare
     sym, _ = gen_pair()
-    ghost = SymbolicCoalgebra(sym.carrier, {**sym.steps, "ghost": ("var", 0)})
     with pytest.raises(InvalidCoalgebra, match="undeclared orbit 'ghost'"):
-        validate_coalgebra(ghost)
+        SymbolicCoalgebra(sym.carrier, {**sym.steps, "ghost": ("var", 0)})
 
 
 def test_validate_rejects_slot_out_of_range():
-    sym, _ = _single(OrbitSchema("o", 1), ("var", 3), (Atom(0),))
     with pytest.raises(InvalidCoalgebra):
-        validate_coalgebra(sym)
+        _single(OrbitSchema("o", 1), ("var", 3))
 
 
 def test_validate_rejects_non_injective_assignment():
-    o = OrbitSchema("o", 2)
-    sym, _ = _single(o, ("app", ("o", (0, 0)), ("o", (0, 1))), (Atom(0), Atom(1)))
     with pytest.raises(InvalidCoalgebra):
-        validate_coalgebra(sym)
+        _single(OrbitSchema("o", 2), ("app", ("o", (0, 0)), ("o", (0, 1))))
 
 
 @pytest.mark.parametrize("step, message", [
@@ -105,16 +99,24 @@ def test_validate_rejects_non_injective_assignment():
      "step of 'o': FRESH not allowed in an application target"),
 ])
 def test_validate_rejects_bad_app_target(step, message):
-    sym, _ = _single(OrbitSchema("o", 1), step, (Atom(0),))
     with pytest.raises(InvalidCoalgebra, match=f"^{re.escape(message)}$"):
-        validate_coalgebra(sym)
+        _single(OrbitSchema("o", 1), step)
 
 
 def test_validate_rejects_double_fresh():
-    o = OrbitSchema("o", 2)
-    sym, _ = _single(o, ("lam", FRESH, ("o", (FRESH, FRESH))), (Atom(0), Atom(1)))
     with pytest.raises(InvalidCoalgebra):
-        validate_coalgebra(sym)
+        _single(OrbitSchema("o", 2), ("lam", FRESH, ("o", (FRESH, FRESH))))
+
+
+def test_validate_rejects_binder_slot_and_fresh_in_one_body():
+    a, b = OrbitSchema("a", 1), OrbitSchema("b", 2)
+    with pytest.raises(InvalidCoalgebra, match="^step of 'a': binder slot 1 and FRESH both "
+                                               "in the λ body$"):
+        SymbolicCoalgebra(OrbitSet((a, b)), {"a": ("lam", 0, ("b", (0, FRESH))),
+                                             "b": ("app", ("a", (0,)), ("a", (1,)))})
+    # FRESH without the binder's slot names the binder once: the same as the slot
+    sym = SymbolicCoalgebra(OrbitSet((a,)), {"a": ("lam", 0, ("a", (FRESH,)))})
+    assert instantiate(sym).step_fn(OrbitElement(a, (Atom(3),)))[:2] == ("lam", Atom(3))
 
 
 @pytest.mark.parametrize("view", [
@@ -131,9 +133,8 @@ def test_validate_rejects_double_fresh():
     "var 1",
 ])
 def test_validate_rejects_a_view_of_no_step_shape(view):
-    sym, _ = _single(OrbitSchema("o", 1), view, (Atom(0),))
     with pytest.raises(InvalidCoalgebra):
-        validate_coalgebra(sym)
+        _single(OrbitSchema("o", 1), view)
 
 
 @pytest.mark.parametrize("view", [
@@ -143,28 +144,31 @@ def test_validate_rejects_a_view_of_no_step_shape(view):
 ])
 def test_validate_rejects_an_atom_as_a_slot(view):
     # an Atom is an int, and Atom(0) == 0, but it names a variable, not a slot
-    sym, _ = _single(OrbitSchema("o", 1), view, (Atom(0),))
     with pytest.raises(InvalidCoalgebra):
-        validate_coalgebra(sym)
+        _single(OrbitSchema("o", 1), view)
 
 
 def test_stabilizer_well_definedness():
     # under the slot swap, var-of-slot-1 changes: ill-defined on the quotient
     u = OrbitSchema("u", 2, S2)
-    bad, _ = _single(u, ("var", 0), (Atom(0), Atom(1)))
     with pytest.raises(InvalidCoalgebra):
-        validate_coalgebra(bad)
+        _single(u, ("var", 0))
     # an application into the same unordered pair is symmetric, hence fine
-    good, _ = _single(u, ("app", ("u", (0, 1)), ("u", (0, 1))), (Atom(0), Atom(1)))
-    validate_coalgebra(good)
+    _single(u, ("app", ("u", (0, 1)), ("u", (0, 1))))
     # so is abstracting a fresh name over the same unordered pair
-    good2, _ = _single(u, ("lam", FRESH, ("u", (0, 1))), (Atom(0), Atom(1)))
-    validate_coalgebra(good2)
+    _single(u, ("lam", FRESH, ("u", (0, 1))))
     # and binding a slot, up to α: the swap turns λv0. w(v0) into λv1. w(v1)
     w = OrbitSchema("w", 1)
-    validate_coalgebra(SymbolicCoalgebra(
-        OrbitSet((u, w)), {"u": ("lam", 0, ("w", (0,))), "w": ("var", 0)}
-    ))
+    SymbolicCoalgebra(OrbitSet((u, w)), {"u": ("lam", 0, ("w", (0,))), "w": ("var", 0)})
+
+
+def test_trivial_stabilizer_runs_no_step(monkeypatch):
+    def no_step(c, schema):
+        return lambda atoms: pytest.fail(f"step of {schema.id!r} ran during the check")
+
+    monkeypatch.setattr(coalgebra, "_step_of_tuple", no_step)
+    sym, _ = graph_to_coalgebra(graph_of(parse_term(r"mu r. \x. \y. (x #r) y")))
+    assert sym.carrier.schemas and all(s.trivial for s in sym.carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +182,7 @@ def test_instantiate_pair_steps():
     assert kind == "app"
     assert left.atoms == (Atom(0),)
     assert right.atoms == (Atom(1),)
-    var = sym.element("var", (Atom(7),))
+    var = OrbitElement(sym.carrier["var"], (Atom(7),))
     assert conc.step_fn(var) == ("var", Atom(7))
 
 
@@ -224,16 +228,16 @@ def test_pair_construction():
 
 def test_self_loop_application():
     o = OrbitSchema("o", 0)
-    sym, root = _single(o, ("app", ("o", ()), ("o", ())))
-    g = c_construct(instantiate(sym), root, sym.carrier)
+    sym = _single(o, ("app", ("o", ()), ("o", ())))
+    g = c_construct(instantiate(sym), OrbitElement(o, ()), sym.carrier)
     assert len(g.nodes) == 1
     assert g.nodes[g.root] == ("app", g.root, g.root)
 
 
 def test_binder_reuse_tower():
     o = OrbitSchema("o", 0)
-    sym, root = _single(o, ("lam", FRESH, ("o", ())))
-    g = c_construct(instantiate(sym), root, sym.carrier)
+    sym = _single(o, ("lam", FRESH, ("o", ())))
+    g = c_construct(instantiate(sym), OrbitElement(o, ()), sym.carrier)
     assert len(g.nodes) == 1
     v0 = Atom(0)
     assert truncate(g, 3) == Lam(v0, Lam(v0, Lam(v0, BOT)))
@@ -559,7 +563,6 @@ step pair = app var(1) var(2)
 
 def test_parse_coalgebra_text():
     sym = parse_coalgebra(PAIR_TEXT)
-    validate_coalgebra(sym)
     assert sym.steps["pair"] == ("app", ("var", (0,)), ("var", (1,)))
     root = parse_root("pair(v0,v1)", sym)
     g = c_construct(instantiate(sym), root, sym.carrier)
@@ -572,7 +575,6 @@ def test_parse_coalgebra_with_stabilizer():
         "step u = app u(1,2) u(1,2)\n"
     )
     sym = parse_coalgebra(text)
-    validate_coalgebra(sym)
     (schema,) = sym.carrier.schemas
     assert schema.stabilizer == frozenset({(0, 1), (1, 0)})
 
@@ -593,7 +595,7 @@ def test_print_parse_coalgebra_roundtrip():
         assert [
             (s.id, s.arity, s.stabilizer) for s in back.carrier
         ] == [(s.id, s.arity, s.stabilizer) for s in sym.carrier]
-    sym = validate_coalgebra(parse_coalgebra(STAB_TEXT))
+    sym = parse_coalgebra(STAB_TEXT)
     assert sym.carrier["c"].stabilizer == frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
     assert len(sym.carrier["k"].stabilizer) == 4
     assert print_coalgebra(sym) == STAB_TEXT
@@ -620,3 +622,6 @@ def test_parse_coalgebra_rejects_garbage():
     for stab in ("(1 3)", "(0 1)", "(1 2", "foo", "()", "trivial;(1 2)"):
         with pytest.raises(InvalidCoalgebra, match="stab member"):
             parse_coalgebra(f"orbit o arity=2 stab={stab}\nstep o = app o(1,2) o(1,2)\n")
+    # a stabilizer is checked on its own line, before any later line is read
+    with pytest.raises(NotASubgroup, match="^stabilizer of orbit 'c' is not a subgroup"):
+        parse_coalgebra("orbit c arity=3 stab=(1 2 3)\nnonsense line\n")

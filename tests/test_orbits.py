@@ -11,9 +11,7 @@ from ratlam import (
     OrbitElement,
     OrbitSchema,
     OrbitSet,
-    count_same_support,
     enumerate_support_in,
-    validate_orbit_set,
 )
 from ratlam.orbits import apply_slot_perm
 
@@ -24,16 +22,26 @@ S3 = frozenset(itertools.permutations(range(3)))
 
 
 def test_validate_accepts_trivial_and_full_stabilizers():
-    validate_orbit_set([OrbitSchema("v", 1)])
-    validate_orbit_set([OrbitSchema("p", 2, S2)])
-    validate_orbit_set([OrbitSchema("t", 3, S3)])
+    OrbitSet((OrbitSchema("v", 1), OrbitSchema("p", 2, S2), OrbitSchema("t", 3, S3)))
 
 
 def test_validate_rejects_non_closed_stabilizer():
     # {id, (1 2 3)} misses the inverse rotation
-    bad = OrbitSchema("c", 3, frozenset({(0, 1, 2), (1, 2, 0)}))
-    with pytest.raises(NotASubgroup):
-        validate_orbit_set([bad])
+    with pytest.raises(NotASubgroup, match="inverse of"):
+        OrbitSchema("c", 3, frozenset({(0, 1, 2), (1, 2, 0)}))
+
+
+@pytest.mark.parametrize("stab, reason", [
+    ({(1, 0, 2), (0, 2, 1)}, "identity missing"),
+    ({(0, 1, 2), (1, 0, 2), (0, 2, 1)}, "composite of"),
+    ({(0, 1, 2), (0, 1)}, "not a permutation of the slots"),
+    ({(0, 1, 2), (0, 1, 1)}, "not a permutation of the slots"),
+    (set(), "identity missing"),
+])
+def test_schema_with_a_stabilizer_that_is_no_subgroup_is_not_built(stab, reason):
+    message = f"^stabilizer of orbit 'c' is not a subgroup: .*{reason}"
+    with pytest.raises(NotASubgroup, match=message):
+        OrbitSchema("c", 3, frozenset(stab))
 
 
 def test_validate_rejects_duplicate_ids():
@@ -95,14 +103,6 @@ def test_enumerate_support_in_is_deterministic_and_duplicate_free():
     assert len(set(out1)) == len(out1)
 
 
-def test_count_same_support_examples():
-    assert count_same_support(OrbitSchema("o", 2), [Atom(0), Atom(1)]) == 2
-    assert count_same_support(OrbitSchema("u", 2, S2), [Atom(0), Atom(1)]) == 1
-    assert count_same_support(OrbitSchema("v", 1), [Atom(3)]) == 1
-    with pytest.raises(ArityMismatch):
-        count_same_support(OrbitSchema("v", 1), [Atom(0), Atom(1)])
-
-
 def _random_schema(rng: random.Random) -> OrbitSchema:
     arity = rng.randint(0, 3)
     if arity == 2 and rng.random() < 0.4:
@@ -143,8 +143,10 @@ def test_count_same_support_never_exceeds_factorial():
     rng = random.Random(31)
     for _ in range(200):
         schema = _random_schema(rng)
+        # elements inside a pool of `arity` atoms have exactly that support
         support = [Atom(i) for i in range(schema.arity)]
-        c = count_same_support(schema, support)
+        c = len(enumerate_support_in(OrbitSet((schema,)), support))
+        assert c == factorial(schema.arity) // len(schema.stabilizer)
         assert 1 <= c <= factorial(schema.arity)
 
 
@@ -152,7 +154,6 @@ def test_enumeration_matches_brute_force():
     rng = random.Random(37)
     for _ in range(100):
         schema = _random_schema(rng)
-        validate_orbit_set([schema])
         w = rng.randint(0, 4)
         pool = sorted(rng.sample([Atom(i) for i in range(6)], w))
         out = enumerate_support_in(OrbitSet((schema,)), pool)
