@@ -88,7 +88,8 @@ class EscapesCarrier(ValueError):
 
 
 def _check_target(c: SymbolicCoalgebra, schema: OrbitSchema, target: tuple,
-                  allow_fresh: bool):
+                  allow_fresh: bool) -> tuple[OrbitSchema, tuple]:
+    """The target's schema and assignment, after checking them."""
     sid, assignment = target
     if sid not in c.carrier:
         raise InvalidCoalgebra(f"step of {schema.id!r}: target names undeclared orbit {sid!r}")
@@ -109,22 +110,34 @@ def _check_target(c: SymbolicCoalgebra, schema: OrbitSchema, target: tuple,
             raise InvalidCoalgebra(f"step of {schema.id!r}: slot {s + 1} out of range")
     if len(set(slots)) != len(slots):
         raise InvalidCoalgebra(f"step of {schema.id!r}: assignment not injective")
+    return c.carrier[sid], assignment
 
 
-def _step_of_tuple(c: SymbolicCoalgebra, schema: OrbitSchema) -> Callable:
-    """The schema's step view as a function of a concrete atom tuple, with the
-    target orbits looked up once.  A λ's binder, its slot's atom or else the
-    least fresh one, fills FRESH slots: it is read as one more atom, at
-    position `arity` of the tuple."""
+def _step_fn(c: SymbolicCoalgebra, schema: OrbitSchema) -> Callable:
+    """The schema's step view, checked for shape and slots, as a function of
+    a concrete atom tuple with the target orbits looked up once.  A λ's
+    binder, its slot's atom or else the least fresh one, fills FRESH slots:
+    it is read as one more atom, at position `arity` of the tuple."""
+    # a slot is a plain int: an Atom is an int, but not a slot
     match c.steps[schema.id]:
-        case ("var", src):
+        case ("var", src) if type(src) is int:
+            if src not in range(schema.arity):
+                raise InvalidCoalgebra(f"step of {schema.id!r}: slot {src + 1} out of range")
             return lambda atoms: ("var", atoms[src])
-        case ("app", (left, lslots), (right, rslots)):
-            ls, rs = c.carrier[left], c.carrier[right]
+        case ("app", (str(), tuple()) as left, (str(), tuple()) as right):
+            ls, lslots = _check_target(c, schema, left, allow_fresh=False)
+            rs, rslots = _check_target(c, schema, right, allow_fresh=False)
             return lambda atoms: ("app", OrbitElement(ls, tuple([atoms[s] for s in lslots])),
                                   OrbitElement(rs, tuple([atoms[s] for s in rslots])))
-        case ("lam", b, (body, slots)):
-            bs, k = c.carrier[body], schema.arity
+        case ("lam", b, (str(), tuple()) as body) if b is FRESH or type(b) is int:
+            if b is not FRESH and b not in range(schema.arity):
+                raise InvalidCoalgebra(
+                    f"step of {schema.id!r}: binder slot {b + 1} out of range")
+            bs, slots = _check_target(c, schema, body, allow_fresh=True)
+            if b is not FRESH and b in slots and FRESH in slots:
+                raise InvalidCoalgebra(
+                    f"step of {schema.id!r}: binder slot {b + 1} and FRESH both in the λ body")
+            k = schema.arity
             slots = tuple([k if s is FRESH else s for s in slots])
 
             def lam(atoms):
@@ -133,36 +146,21 @@ def _step_of_tuple(c: SymbolicCoalgebra, schema: OrbitSchema) -> Callable:
                 return ("lam", v, OrbitElement(bs, tuple([atoms[s] for s in slots])))
 
             return lam
+        case view:
+            raise InvalidCoalgebra(f"step of {schema.id!r} is not a step view: {view!r}")
 
 
 def _steps(c: SymbolicCoalgebra) -> dict[str, Callable]:
-    """Each orbit's `_step_of_tuple`, after checking the step shapes, slot
-    sanity and well-definedness under every non-identity stabilizer member."""
+    """Each orbit's `_step_fn`, after checking that every orbit has exactly
+    one step and that it is well-defined under every non-identity stabilizer
+    member."""
     if stray := c.steps.keys() - {schema.id for schema in c.carrier}:
         raise InvalidCoalgebra(f"step for undeclared orbit {min(stray)!r}")
     steps = {}
     for schema in c.carrier:
         if schema.id not in c.steps:
             raise InvalidCoalgebra(f"orbit {schema.id!r} has no step")
-        # a slot is a plain int: an Atom is an int, but not a slot
-        match c.steps[schema.id]:
-            case ("var", src) if type(src) is int:
-                if src not in range(schema.arity):
-                    raise InvalidCoalgebra(f"step of {schema.id!r}: slot {src + 1} out of range")
-            case ("app", (str(), tuple()) as left, (str(), tuple()) as right):
-                _check_target(c, schema, left, allow_fresh=False)
-                _check_target(c, schema, right, allow_fresh=False)
-            case ("lam", b, (str(), tuple()) as body) if b is FRESH or type(b) is int:
-                if b is not FRESH and b not in range(schema.arity):
-                    raise InvalidCoalgebra(
-                        f"step of {schema.id!r}: binder slot {b + 1} out of range")
-                _check_target(c, schema, body, allow_fresh=True)
-                if b is not FRESH and b in body[1] and FRESH in body[1]:
-                    raise InvalidCoalgebra(
-                        f"step of {schema.id!r}: binder slot {b + 1} and FRESH both in the λ body")
-            case view:
-                raise InvalidCoalgebra(f"step of {schema.id!r} is not a step view: {view!r}")
-        step = steps[schema.id] = _step_of_tuple(c, schema)
+        step = steps[schema.id] = _step_fn(c, schema)
         if schema.trivial:
             continue  # the identity agrees with itself
         # well-definedness on the stabilizer quotient, checked exhaustively
@@ -259,7 +257,7 @@ def graph_to_coalgebra(g: TermGraph) -> tuple[SymbolicCoalgebra, OrbitElement]:
     equivariant, so renaming the graph renames only the root element.
     """
     slots = _free_orders(g)
-    order = g.reachable()
+    order = list(slots)  # the reachable nodes, in preorder
     ids = {n: f"n{n}" for n in order}
     steps: dict[str, tuple] = {}
     for n in order:

@@ -191,88 +191,85 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, interner: Interner):
-        self.tokens = tokens
-        self.i = 0
-        self.interner = interner
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise TermSyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def term(self) -> MuTerm:
-        kind, _, _ = self.peek()
-        if kind == "lam":
-            self.next()
-            name = self.expect("ident")[1]
-            self.expect("dot")
-            return Lam(self.interner.atom(name), self.term())
-        return self.application()
-
-    def application(self) -> MuTerm:
-        t = self.atom_term()
-        while self.peek()[0] in ("ident", "bot", "ref", "lp", "mu"):
-            t = App(t, self.atom_term())
-        return t
-
-    def atom_term(self) -> MuTerm:
-        kind, value, pos = self.next()
-        if kind == "ident":
-            return Var(self.interner.atom(value))
-        if kind == "bot":
-            return BOT
-        if kind == "ref":
-            return Ref(value[1:])
-        if kind == "mu":
-            label = self.expect("ident")[1]
-            self.expect("dot")
-            return Mu(label, self.term())
-        if kind == "lp":
-            t = self.term()
-            self.expect("rp")
-            return t
-        raise TermSyntaxError(f"unexpected token {value!r}", pos)
-
-
-def check_muterm(t: MuTerm, bound: frozenset[str] = frozenset(), guarded: frozenset[str] = frozenset()):
-    """Check that refs are bound and every mu is guarded by a Lam or App."""
-    match t:
-        case Mu(l, b):
-            check_muterm(b, bound | {l}, guarded - {l})
-        case Ref(l):
-            if l not in bound:
-                raise UnboundRef(l)
-            if l not in guarded:
-                raise UnguardedMu(l)
-        case Lam(_, b):
-            check_muterm(b, bound, bound)
-        case App(f, a):
-            check_muterm(f, bound, bound)
-            check_muterm(a, bound, bound)
-        case _:
-            pass
+def _expect(tokens: list, i: int, kind: str) -> str:
+    found, value, pos = tokens[i]
+    if found != kind:
+        raise TermSyntaxError(f"expected {kind}, found {value!r}", pos)
+    return value
 
 
 def parse_term(text: str, interner: Interner | None = None) -> MuTerm:
+    """Read a μ-term in one pass over its tokens, on an explicit stack.
+
+    A group is the whole text, closed by eof; a parenthesis, closed by rp; or
+    a μ after an application, as in `f mu r. …`, closed with its enclosing
+    group.  It holds its λ/μ binder prefix, the application read so far and
+    the label of a bare #ref, one that no λ or application guards yet.  A
+    #ref that no enclosing μ binds, and a μ closing over a bare #ref to
+    itself, are errors; they are recorded as found and the first is raised at
+    the end of input, so a syntax error anywhere wins.  Nesting depth is
+    bounded by memory, not by the recursion limit.
+    """
     if interner is None:
         interner = Interner()
     interner.reserve(text)
-    p = _Parser(_tokenize(text), interner)
-    t = p.term()
-    p.expect("eof")
-    check_muterm(t)
-    return t
+    tokens = _tokenize(text)
+    scope: list[str] = []  # labels of the open μs
+    errors: list[ValueError] = []
+    stack = [["eof", [], None, None]]  # [closer, binders, application, bare label]
+    i = 0
+    while True:
+        kind, value, pos = tokens[i]
+        i += 1
+        group = stack[-1]
+        if kind == "mu" or kind == "lam" and group[2] is None:
+            name = _expect(tokens, i, "ident")
+            _expect(tokens, i + 1, "dot")
+            i += 2
+            if kind == "lam":
+                name = interner.atom(name)
+            else:
+                scope.append(name)
+                if group[2] is not None:  # a μ argument opens a group of its own
+                    stack.append(group := [None, [], None, None])
+            group[1].append(name)
+            continue
+        if kind == "lp":
+            stack.append(["rp", [], None, None])
+            continue
+        bare = None
+        if kind == "ident":
+            t = Var(interner.atom(value))
+        elif kind == "bot":
+            t = BOT
+        elif kind == "ref":
+            t = Ref(bare := value[1:])
+            if bare not in scope:
+                errors.append(UnboundRef(bare))
+        elif group[2] is None:
+            raise TermSyntaxError(f"unexpected token {value!r}", pos)
+        else:  # the application ends: close groups up to a parenthesis or the text
+            while True:
+                closer, binders, t, bare = stack.pop()
+                for b in reversed(binders):
+                    if type(b) is str:  # a μ label; a λ binder is an Atom
+                        scope.pop()
+                        if bare == b:
+                            errors.append(UnguardedMu(b))
+                        t = Mu(b, t)
+                    else:
+                        t, bare = Lam(b, t), None
+                if closer is not None:
+                    break
+                stack[-1][2:] = App(stack[-1][2], t), None
+            if closer != kind:
+                raise TermSyntaxError(f"expected {closer}, found {value!r}", pos)
+            if kind == "eof":
+                if errors:
+                    raise errors[0]
+                return t
+            group = stack[-1]
+        group[2:] = (t, bare) if group[2] is None else (App(group[2], t), None)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from ratlam import (
     Bot,
     ConcreteCoalgebra,
     FRESH,
+    Interner,
     InvalidCoalgebra,
     Lam,
     Mu,
@@ -23,6 +24,9 @@ from ratlam import (
     Ref,
     SymbolicCoalgebra,
     TermGraph,
+    TermSyntaxError,
+    UnboundRef,
+    UnguardedMu,
     Var,
     abstraction_eq,
     graph_of,
@@ -30,7 +34,15 @@ from ratlam import (
     print_term,
     swap,
 )
-from ratlam.terms import FiniteTerm, MuTerm, _bisim_check, _children, _label_key, minimize
+from ratlam.terms import (
+    FiniteTerm,
+    MuTerm,
+    _bisim_check,
+    _children,
+    _label_key,
+    _tokenize,
+    minimize,
+)
 
 # A corpus of small mu-terms.  Every identifier is written as an explicit
 # v<index> so that parsing with independent interners never collapses two
@@ -458,3 +470,92 @@ def naive_unfold(conc: ConcreteCoalgebra, root, depth: int) -> FiniteTerm:
                 return Lam(u, go(body.act(swap(v, u)), d - 1))
 
     return go(root, depth)
+
+
+# ---------------------------------------------------------------------------
+# Reference for ratlam.terms.parse_term: recursive descent, then a second,
+# recursive walk that checks every #ref is bound and every μ guarded.
+
+
+class _Parser:
+    def __init__(self, tokens, interner: Interner):
+        self.tokens = tokens
+        self.i = 0
+        self.interner = interner
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.next()
+        if tok[0] != kind:
+            raise TermSyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def term(self) -> MuTerm:
+        kind, _, _ = self.peek()
+        if kind == "lam":
+            self.next()
+            name = self.expect("ident")[1]
+            self.expect("dot")
+            return Lam(self.interner.atom(name), self.term())
+        return self.application()
+
+    def application(self) -> MuTerm:
+        t = self.atom_term()
+        while self.peek()[0] in ("ident", "bot", "ref", "lp", "mu"):
+            t = App(t, self.atom_term())
+        return t
+
+    def atom_term(self) -> MuTerm:
+        kind, value, pos = self.next()
+        if kind == "ident":
+            return Var(self.interner.atom(value))
+        if kind == "bot":
+            return BOT
+        if kind == "ref":
+            return Ref(value[1:])
+        if kind == "mu":
+            label = self.expect("ident")[1]
+            self.expect("dot")
+            return Mu(label, self.term())
+        if kind == "lp":
+            t = self.term()
+            self.expect("rp")
+            return t
+        raise TermSyntaxError(f"unexpected token {value!r}", pos)
+
+
+def check_muterm(t: MuTerm, bound: frozenset[str] = frozenset(), guarded: frozenset[str] = frozenset()):
+    """Check that refs are bound and every mu is guarded by a Lam or App."""
+    match t:
+        case Mu(l, b):
+            check_muterm(b, bound | {l}, guarded - {l})
+        case Ref(l):
+            if l not in bound:
+                raise UnboundRef(l)
+            if l not in guarded:
+                raise UnguardedMu(l)
+        case Lam(_, b):
+            check_muterm(b, bound, bound)
+        case App(f, a):
+            check_muterm(f, bound, bound)
+            check_muterm(a, bound, bound)
+        case _:
+            pass
+
+
+def parse_term_by_descent(text: str, interner: Interner | None = None) -> MuTerm:
+    if interner is None:
+        interner = Interner()
+    interner.reserve(text)
+    p = _Parser(_tokenize(text), interner)
+    t = p.term()
+    p.expect("eof")
+    check_muterm(t)
+    return t

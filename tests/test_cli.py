@@ -257,6 +257,13 @@ def test_parse_error_exit_code():
     assert code == 2
 
 
+def test_print_deep_application():
+    n = 600
+    code, text = _run(["print", "(v0 " * n + "v1" + ")" * n])
+    assert code == 0
+    assert text == "v0 (" * (n - 1) + "v0 v1" + ")" * (n - 1) + "\n"
+
+
 def test_outputs_are_deterministic():
     for argv in (
         ["print", r"mu r. \x. x #r"],

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -34,6 +35,7 @@ from conftest import (
     alpha_eq_finite,
     glued,
     literal_classes_by_rounds,
+    parse_term_by_descent,
     print_graph_by_scan,
     random_perm,
     random_term_graph,
@@ -117,6 +119,103 @@ def test_shared_interner_keeps_names_distinct():
     g1 = graph_of(parse_term("mu r. f #r", it))
     g2 = graph_of(parse_term("mu r. g #r", it))
     assert not alpha_bisim(g1, g2)
+
+
+def _parse_outcome(parse, text):
+    """What a parser makes of text: its value or its exception, and the
+    interner's table either way."""
+    it = Interner()
+    try:
+        out = parse(text, it)
+    except (TermSyntaxError, UnboundRef, UnguardedMu) as e:
+        out = (type(e), str(e))
+    return out, it.table()
+
+
+_PIECES = [
+    "\\x.", "λy.", "\\v1.", "\\", "mu r.", "μs.", "mu q.", "mu", "#r", "#s", "#q", "#z",
+    "x", "f", "v0", "v1", "v01", "v1'", "y2", "(", ")", "_|_", "⊥", ".", "$",
+    "mu r. #r", "mu s. (mu r. #s)",
+]
+
+
+def _soup(rng: random.Random, depth: int = 0) -> str:
+    """Random μ-term text: λ and μ heads, bound and unbound #refs,
+    identifiers, balanced and stray parentheses, ⊥, a stray dot and a bad
+    character, joined with or without spaces."""
+    parts = []
+    for _ in range(rng.randint(1, 5)):
+        if depth < 3 and rng.random() < 0.2:
+            parts.append("(" + _soup(rng, depth + 1) + ")")
+        else:
+            parts.append(rng.choice(_PIECES))
+    return rng.choice([" ", " ", ""]).join(parts)
+
+
+def test_parse_agrees_with_descent():
+    rng = random.Random(15)
+    texts = CORPUS + [_soup(rng) for _ in range(20000)]
+    kinds = {}
+    for text in texts:
+        got, want = _parse_outcome(parse_term, text), _parse_outcome(parse_term_by_descent, text)
+        assert got == want, text
+        kind = got[0][0] if isinstance(got[0], tuple) else "value"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.values()) >= 200 and len(kinds) == 4, kinds
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("f \\x. x", (TermSyntaxError, "expected eof, found '\\\\' (at position 2)")),
+    ("(f \\x. x)", (TermSyntaxError, "expected rp, found '\\\\' (at position 3)")),
+    ("mu r. #r )", (TermSyntaxError, "expected eof, found ')' (at position 9)")),
+    ("()", (TermSyntaxError, "unexpected token ')' (at position 1)")),
+    ("(", (TermSyntaxError, "unexpected token '' (at position 1)")),
+    ("\\x.", (TermSyntaxError, "unexpected token '' (at position 3)")),
+    ("mu a. (mu b. #a)", (UnguardedMu, str(UnguardedMu("a")))),
+    ("#q (mu r. #r)", (UnboundRef, str(UnboundRef("q")))),
+    ("mu r. mu r. #r", (UnguardedMu, str(UnguardedMu("r")))),
+])
+def test_parse_errors_by_name(text, outcome):
+    assert _parse_outcome(parse_term, text)[0] == outcome
+    assert _parse_outcome(parse_term_by_descent, text)[0] == outcome
+
+
+def test_parse_mu_after_an_application():
+    f, x = Atom(0), Atom(1)
+    assert parse_term("f mu r. \\x. #r") == App(Var(f), Mu("r", Lam(x, Ref("r"))))
+
+
+def _spine(t, kind, step):
+    """The nodes of the given class from t on, following `step`, and the node
+    that ends the run; by a loop, since `==` and `hash` recurse."""
+    nodes = []
+    while type(t) is kind:
+        nodes.append(t)
+        t = step(t)
+    return nodes, t
+
+
+def test_parse_has_no_nesting_limit():
+    n = 10_000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        parens = parse_term("(" * n + "v0" + ")" * n)
+        apps = parse_term("(v0 " * n + "v1" + ")" * n)
+        lams = parse_term("\\v1. " * n + "v0")
+        mus = parse_term("mu r. \\v0. " * n + "#r")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert parens == Var(Atom(0))
+    nodes, end = _spine(apps, App, lambda t: t.arg)
+    assert len(nodes) == n and end == Var(Atom(1))
+    assert all(t.fn == Var(Atom(0)) for t in nodes)
+    nodes, end = _spine(lams, Lam, lambda t: t.body)
+    assert len(nodes) == n and end == Var(Atom(0))
+    assert all(t.binder == Atom(1) for t in nodes)
+    nodes, end = _spine(mus, Mu, lambda t: t.body.body)
+    assert len(nodes) == n and end == Ref("r")
+    assert all(t.label == "r" and type(t.body) is Lam and t.body.binder == Atom(0) for t in nodes)
 
 
 # ---------------------------------------------------------------------------
