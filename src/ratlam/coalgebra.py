@@ -16,6 +16,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from math import factorial
+from operator import itemgetter
 from typing import Callable
 
 from .nominal import Atom, abstraction_eq, fresh_atom, fresh_atoms, swap
@@ -24,7 +25,7 @@ from .orbits import (
     OrbitSchema,
     OrbitSet,
     apply_slot_perm,
-    enumerate_support_in,
+    canonical_tuples,
     slot_identity,
 )
 from .terms import _ATOM_NAME, TermGraph, _children, _classes, _lmap
@@ -60,11 +61,13 @@ class ConcreteCoalgebra:
     """A total step function on elements, with a bound on support sizes.
 
     A step is a term-graph label with elements where a graph has node ids:
-    `("var", a)`, `("lam", v, elem)` or `("app", l, r)`.
+    `("var", a)`, `("lam", v, elem)` or `("app", l, r)`.  `origin` is the
+    symbolic coalgebra `instantiate` built it from, if any.
     """
 
     step_fn: Callable
     support_bound: int
+    origin: SymbolicCoalgebra | None = field(default=None, repr=False)
 
 
 class InvalidCoalgebra(ValueError):
@@ -180,7 +183,7 @@ def instantiate(c: SymbolicCoalgebra) -> ConcreteCoalgebra:
     """The concrete coalgebra of `c`, on the step functions kept when it was built."""
     steps = c._step_fns
     m = max((s.arity for s in c.carrier), default=0)
-    return ConcreteCoalgebra(lambda e: steps[e.schema.id](e.atoms), m)
+    return ConcreteCoalgebra(lambda e: steps[e.schema.id](e.atoms), m, c)
 
 
 # ---------------------------------------------------------------------------
@@ -197,40 +200,36 @@ def c_construct(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) 
 
     The name pool W is the support of the root padded with least fresh atoms
     to m+1 names, so every element has some name in W fresh for it.  With a
-    carrier given, the node set is every carrier element supported in W;
-    without one, only the part reachable from the root is built.
+    carrier given, which must be the carrier of the symbolic coalgebra that
+    `instantiate` built `conc` from, the node set is every carrier element
+    supported in W; without one, only the part reachable from the root is
+    built.
     """
     m = conc.support_bound
     if len(root.support()) > m:
         raise SupportTooLarge(root)
     pad = fresh_atoms(root.support(), m + 1 - len(root.support()))
     W = frozenset(root.support()) | frozenset(pad)
+    if carrier is not None:
+        if conc.origin is None or carrier != conc.origin.carrier:
+            raise ValueError("an enumerative c_construct needs the carrier of the "
+                             "symbolic coalgebra that instantiate built the coalgebra from")
+        return _enumerate(conc.origin, W, root)
 
     ids: dict = {}
     nodes: dict[int, tuple] = {}
     pending: deque = deque()
 
-    enumerative = carrier is not None
-
-    def node_id(e, from_step: bool = True):
+    def node_id(e):
         if (i := ids.get(e)) is not None:  # its support was checked when it was added
             return i
         if len(e.support()) > m:
             raise SupportTooLarge(e)
-        if enumerative and from_step:
-            raise EscapesCarrier(e)
         ids[e] = len(ids)
         pending.append(e)
         return ids[e]
 
-    if enumerative:
-        for e in enumerate_support_in(carrier, W):
-            node_id(e, from_step=False)
-        if root not in ids:
-            raise EscapesCarrier(root)
-    else:
-        node_id(root, from_step=False)
-
+    node_id(root)
     while pending:
         e = pending.popleft()
         match step := conc.step_fn(e):
@@ -243,6 +242,55 @@ def c_construct(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) 
         nodes[ids[e]] = _lmap(step, child=node_id)
 
     return TermGraph(nodes, ids[root])
+
+
+def _enumerate(c: SymbolicCoalgebra, W: frozenset, root) -> TermGraph:
+    """One node per carrier element supported in W, numbered by orbit in
+    carrier order and then by canonical tuple, each labelled by its orbit's
+    step view on that tuple.
+
+    A λ's binder is renamed to W's least name w fresh for the tuple t.  The
+    binder is a slot's atom or else fresh for t, and w is not in t, so
+    swapping the two on the body puts w wherever the binder was and leaves
+    t's other atoms alone: the body reads position k of t + (w,).  Every
+    target then has its atoms in W and a carrier orbit, so it is a node."""
+    pool = sorted(W)
+    tuples = [(s, list(canonical_tuples(s, pool))) for s in c.carrier]
+    ids = {}
+    for schema, ts in tuples:
+        for t in ts:
+            ids[schema.id, t] = len(ids)
+    if (root_id := ids.get((root.schema.id, root.canonical()))) is None:
+        raise EscapesCarrier(root)
+
+    labels = []
+    for schema, ts in tuples:
+        k = schema.arity
+        match c.steps[schema.id]:
+            case ("var", src):
+                labels += [("var", t[src]) for t in ts]
+            case ("app", (ls, lslots), (rs, rslots)):
+                left, right = _picker(c.carrier[ls], lslots), _picker(c.carrier[rs], rslots)
+                labels += [("app", ids[ls, left(t)], ids[rs, right(t)]) for t in ts]
+            case ("lam", b, (bs, slots)):
+                body = _picker(c.carrier[bs], [k if s is FRESH or s == b else s for s in slots])
+                for t in ts:
+                    w = min(W.difference(t))
+                    labels.append(("lam", w, ids[bs, body(t + (w,))]))
+    return TermGraph(dict(enumerate(labels)), root_id)
+
+
+def _picker(schema: OrbitSchema, slots) -> Callable:
+    """The function from an atom tuple t to `schema`'s canonical tuple of
+    the atoms at `slots` of t."""
+    match slots:
+        case []:
+            pick = lambda t: ()
+        case [s]:
+            pick = lambda t: (t[s],)
+        case _:
+            pick = itemgetter(*slots)
+    return pick if schema.trivial else lambda t: schema.canonical(pick(t))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,10 @@ class OrbitSchema:
                 if slot_compose(g, h) not in self.stabilizer:
                     raise NotASubgroup(self.id, f"composite of {g} and {h} missing")
 
+    def canonical(self, atoms: tuple) -> tuple:
+        """The lexicographically least tuple in the stabilizer class of `atoms`."""
+        return atoms if self.trivial else min(apply_slot_perm(g, atoms) for g in self.stabilizer)
+
 
 @dataclass(frozen=True)
 class OrbitSet:
@@ -122,8 +126,7 @@ class OrbitElement:
             raise ValueError("atom tuple entries must be pairwise distinct")
         self.schema = schema
         self.atoms = atoms
-        self._canon = atoms if schema.trivial else min(
-            apply_slot_perm(g, atoms) for g in schema.stabilizer)
+        self._canon = schema.canonical(atoms)
         self._hash = hash((schema.id, self._canon))
 
     def canonical(self) -> tuple[Atom, ...]:
@@ -152,18 +155,22 @@ class OrbitElement:
         return f"OrbitElement<{self}>"
 
 
+def canonical_tuples(schema: OrbitSchema, pool):
+    """The canonical tuples of the schema's elements supported inside the
+    sorted atom `pool`, in lexicographic order.  Tuples of a sorted pool come
+    in that order, so each element is met first at its canonical tuple; only
+    that one is yielded."""
+    tuples = itertools.permutations(pool, schema.arity)
+    if schema.trivial:
+        return tuples
+    return (t for t in tuples if t == schema.canonical(t))
+
+
 def enumerate_support_in(s: OrbitSet, atoms) -> list[OrbitElement]:
     """All elements supported inside the given atom pool, duplicate-free.
 
     Order is deterministic: schemas in presentation order, elements by
-    canonical tuple.  Tuples of the sorted pool come in lexicographic order,
-    so each element is met first at its canonical tuple; only that one is kept.
+    canonical tuple.
     """
     pool = sorted(set(atoms))
-    out: list[OrbitElement] = []
-    for schema in s.schemas:
-        for t in itertools.permutations(pool, schema.arity):
-            e = OrbitElement(schema, t)
-            if e.atoms == e.canonical():
-                out.append(e)
-    return out
+    return [OrbitElement(schema, t) for schema in s.schemas for t in canonical_tuples(schema, pool)]

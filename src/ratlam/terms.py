@@ -214,7 +214,7 @@ def parse_term(text: str, interner: Interner | None = None) -> MuTerm:
         interner = Interner()
     interner.reserve(text)
     tokens = _tokenize(text)
-    scope: list[str] = []  # labels of the open μs
+    scope: dict[str, int] = {}  # label → number of open μs with that label
     errors: list[ValueError] = []
     stack = [["eof", [], None, None]]  # [closer, binders, application, bare label]
     i = 0
@@ -229,7 +229,7 @@ def parse_term(text: str, interner: Interner | None = None) -> MuTerm:
             if kind == "lam":
                 name = interner.atom(name)
             else:
-                scope.append(name)
+                scope[name] = scope.get(name, 0) + 1
                 if group[2] is not None:  # a μ argument opens a group of its own
                     stack.append(group := [None, [], None, None])
             group[1].append(name)
@@ -244,7 +244,7 @@ def parse_term(text: str, interner: Interner | None = None) -> MuTerm:
             t = BOT
         elif kind == "ref":
             t = Ref(bare := value[1:])
-            if bare not in scope:
+            if not scope.get(bare):
                 errors.append(UnboundRef(bare))
         elif group[2] is None:
             raise TermSyntaxError(f"unexpected token {value!r}", pos)
@@ -253,7 +253,7 @@ def parse_term(text: str, interner: Interner | None = None) -> MuTerm:
                 closer, binders, t, bare = stack.pop()
                 for b in reversed(binders):
                     if type(b) is str:  # a μ label; a λ binder is an Atom
-                        scope.pop()
+                        scope[b] -= 1
                         if bare == b:
                             errors.append(UnguardedMu(b))
                         t = Mu(b, t)

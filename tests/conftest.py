@@ -12,6 +12,7 @@ from ratlam import (
     BOT,
     Bot,
     ConcreteCoalgebra,
+    EscapesCarrier,
     FRESH,
     Interner,
     InvalidCoalgebra,
@@ -22,6 +23,7 @@ from ratlam import (
     OrbitSet,
     Perm,
     Ref,
+    SupportTooLarge,
     SymbolicCoalgebra,
     TermGraph,
     TermSyntaxError,
@@ -29,6 +31,8 @@ from ratlam import (
     UnguardedMu,
     Var,
     abstraction_eq,
+    enumerate_support_in,
+    fresh_atoms,
     graph_of,
     parse_term,
     print_term,
@@ -40,6 +44,7 @@ from ratlam.terms import (
     _bisim_check,
     _children,
     _label_key,
+    _lmap,
     _tokenize,
     minimize,
 )
@@ -424,7 +429,8 @@ def alpha_eq_finite(t1: FiniteTerm, t2: FiniteTerm) -> bool:
 
 # ---------------------------------------------------------------------------
 # Unfolding oracles: μ-terms by substituting Mu bodies for refs (for graph_of +
-# truncate), and coalgebras with globally fresh binder names (for c_construct).
+# truncate), coalgebras with globally fresh binder names (for c_construct), and
+# the element-by-element enumerative construction.
 
 
 def unfold_muterm(t: MuTerm, depth: int) -> FiniteTerm:
@@ -470,6 +476,49 @@ def naive_unfold(conc: ConcreteCoalgebra, root, depth: int) -> FiniteTerm:
                 return Lam(u, go(body.act(swap(v, u)), d - 1))
 
     return go(root, depth)
+
+
+def c_construct_by_elements(conc: ConcreteCoalgebra, root, carrier: OrbitSet) -> TermGraph:
+    """Reference for the enumerative ratlam.c_construct: every carrier element
+    supported in the name pool W becomes an `OrbitElement` node, and each
+    node's step is taken through `conc.step_fn`, its λ binder renamed to W's
+    least name fresh for the element; a step target outside the nodes is an
+    `EscapesCarrier`."""
+    m = conc.support_bound
+    if len(root.support()) > m:
+        raise SupportTooLarge(root)
+    pad = fresh_atoms(root.support(), m + 1 - len(root.support()))
+    W = frozenset(root.support()) | frozenset(pad)
+
+    ids: dict = {}
+    nodes: dict[int, tuple] = {}
+    pending: deque = deque()
+
+    def node_id(e, from_step: bool = True):
+        if (i := ids.get(e)) is not None:
+            return i
+        if len(e.support()) > m:
+            raise SupportTooLarge(e)
+        if from_step:
+            raise EscapesCarrier(e)
+        ids[e] = len(ids)
+        pending.append(e)
+        return ids[e]
+
+    for e in enumerate_support_in(carrier, W):
+        node_id(e, from_step=False)
+    if root not in ids:
+        raise EscapesCarrier(root)
+
+    while pending:
+        e = pending.popleft()
+        match step := conc.step_fn(e):
+            case ("lam", v, body):
+                w = min(W - e.support())
+                step = ("lam", w, body if v == w else body.act(swap(v, w)))
+        nodes[ids[e]] = _lmap(step, child=node_id)
+
+    return TermGraph(nodes, ids[root])
 
 
 # ---------------------------------------------------------------------------

@@ -48,12 +48,14 @@ from conftest import (
     CORPUS,
     _same_orbit_by_search,
     alpha_eq_finite,
+    c_construct_by_elements,
     free_order_by_search,
     glued,
     naive_unfold,
     orbit_count_by_search,
     random_finite_term,
     random_perm,
+    random_stabilized_coalgebra,
     random_symbolic_coalgebra,
     random_term_graph,
 )
@@ -254,11 +256,82 @@ def test_support_too_large():
 
 
 def test_escapes_carrier():
+    # a hand-built step could leave the carrier, so it has no enumerative mode
     o = OrbitSchema("o", 1)
     stray = OrbitElement(o, (Atom(9),))
     conc = ConcreteCoalgebra(lambda e: ("app", stray, stray), support_bound=1)
-    with pytest.raises(EscapesCarrier):
+    with pytest.raises(ValueError, match="needs the carrier") as info:
         c_construct(conc, OrbitElement(o, (Atom(0),)), OrbitSet((o,)))
+    assert type(info.value) is ValueError
+    with pytest.raises(EscapesCarrier):
+        c_construct_by_elements(conc, OrbitElement(o, (Atom(0),)), OrbitSet((o,)))
+
+
+def test_enumerative_mode_needs_the_coalgebras_own_carrier():
+    sym, root = gen_pair()
+    conc = instantiate(sym)
+    other = OrbitSet((*sym.carrier.schemas, OrbitSchema("extra", 1)))
+    with pytest.raises(ValueError, match="needs the carrier") as info:
+        c_construct(conc, root, other)
+    assert type(info.value) is ValueError
+    # an equal carrier built apart is the coalgebra's own
+    same = OrbitSet(tuple(OrbitSchema(s.id, s.arity) for s in sym.carrier))
+    assert c_construct(conc, root, same).nodes == c_construct(conc, root, sym.carrier).nodes
+
+
+def test_enumerative_root_outside_the_carrier():
+    sym, _ = gen_pair()
+    conc = instantiate(sym)
+    stray = OrbitElement(OrbitSchema("stray", 1), (Atom(0),))
+    with pytest.raises(EscapesCarrier) as info:
+        c_construct(conc, stray, sym.carrier)
+    assert info.value.elem is stray
+
+
+def _with_slot_binders(rng, sym):
+    """sym with some λ binders moved from FRESH to a slot of the orbit, the
+    body's FRESH slot (if any) becoming that slot."""
+    steps = dict(sym.steps)
+    for s in sym.carrier:
+        match steps[s.id]:
+            case ("lam", _, (t, asg)) if s.arity and rng.random() < 0.7:
+                b = rng.randrange(s.arity)
+                if b not in asg:
+                    asg = tuple(b if x is FRESH else x for x in asg)
+                if FRESH not in asg:
+                    steps[s.id] = ("lam", b, (t, asg))
+    return SymbolicCoalgebra(sym.carrier, steps)
+
+
+def _differential_cases():
+    yield "pair", *gen_pair()
+    rng = random.Random(41)
+    for i in range(40):
+        yield f"random-{i}", *random_symbolic_coalgebra(rng)
+    for i in range(40):
+        sym, root = random_symbolic_coalgebra(rng)
+        yield f"slot-binders-{i}", _with_slot_binders(rng, sym), root
+    for i in range(40):
+        yield f"stabilized-{i}", *random_stabilized_coalgebra(rng)
+    for i in range(48):
+        g = random_term_graph(rng, max_nodes=rng.randint(1, 12), natoms=rng.randint(2, 5))
+        yield f"roundtrip-{i}", *graph_to_coalgebra(g)
+    for level in (1, 2, 3):
+        yield f"rsigma-{level}", *graph_to_coalgebra(gen_rsigma(level))
+
+
+def test_enumerative_mode_agrees_with_the_element_construction():
+    stabilized = slot_binders = 0
+    for name, sym, root in _differential_cases():
+        conc = instantiate(sym)
+        g = c_construct(conc, root, sym.carrier)
+        want = c_construct_by_elements(conc, root, sym.carrier)
+        assert list(g.nodes.items()) == list(want.nodes.items()), name
+        assert g.root == want.root, name
+        stabilized += any(not s.trivial for s in sym.carrier)
+        slot_binders += any(v[:2] == ("lam", b) for v in sym.steps.values() for b in range(3))
+    assert stabilized == 40
+    assert slot_binders >= 10
 
 
 def test_rejects_a_step_that_is_not_a_label():

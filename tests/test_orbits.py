@@ -13,7 +13,7 @@ from ratlam import (
     OrbitSet,
     enumerate_support_in,
 )
-from ratlam.orbits import apply_slot_perm
+from ratlam.orbits import apply_slot_perm, canonical_tuples
 
 from conftest import random_perm
 
@@ -101,6 +101,17 @@ def test_enumerate_support_in_is_deterministic_and_duplicate_free():
     out2 = enumerate_support_in(s, list(reversed(W)))
     assert out1 == out2
     assert len(set(out1)) == len(out1)
+
+
+def test_canonical_tuples_are_the_least_of_their_class():
+    a0, a1, a2 = (Atom(i) for i in range(3))
+    pool = [a0, a1, a2]
+    assert list(canonical_tuples(OrbitSchema("u", 2, S2), pool)) == [(a0, a1), (a0, a2), (a1, a2)]
+    assert list(canonical_tuples(OrbitSchema("o", 2), pool)) == list(itertools.permutations(pool, 2))
+    rot = OrbitSchema("r", 3, frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)}))
+    assert list(canonical_tuples(rot, pool)) == [(a0, a1, a2), (a0, a2, a1)]
+    assert rot.canonical((a2, a0, a1)) == (a0, a1, a2)
+    assert rot.canonical((a2, a1, a0)) == (a0, a2, a1)
 
 
 def _random_schema(rng: random.Random) -> OrbitSchema:

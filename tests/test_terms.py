@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 
@@ -216,6 +217,21 @@ def test_parse_has_no_nesting_limit():
     nodes, end = _spine(mus, Mu, lambda t: t.body.body)
     assert len(nodes) == n and end == Ref("r")
     assert all(t.label == "r" and type(t.body) is Lam and t.body.binder == Atom(0) for t in nodes)
+
+
+def test_parse_scope_lookup_is_constant_time():
+    # 20,000 open μs, and a #ref to each of them: a scan of every open μ per
+    # #ref takes seconds
+    n = 20_000
+    text = "".join(f"mu r{i}. " for i in range(n)) + "v0 " + " ".join(f"#r{i}" for i in range(n))
+    start = time.perf_counter()
+    t = parse_term(text)
+    assert time.perf_counter() - start < 3.0
+    mus, app = _spine(t, Mu, lambda t: t.body)
+    assert [m.label for m in mus] == [f"r{i}" for i in range(n)]
+    apps, head = _spine(app, App, lambda t: t.fn)
+    assert head == Var(Atom(0))
+    assert [a.arg for a in reversed(apps)] == [Ref(f"r{i}") for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
