@@ -252,8 +252,9 @@ def _enumerate(c: SymbolicCoalgebra, W: frozenset, root) -> TermGraph:
     A λ's binder is renamed to W's least name w fresh for the tuple t.  The
     binder is a slot's atom or else fresh for t, and w is not in t, so
     swapping the two on the body puts w wherever the binder was and leaves
-    t's other atoms alone: the body reads position k of t + (w,).  Every
-    target then has its atoms in W and a carrier orbit, so it is a node."""
+    t's other atoms alone: the body reads w at position k = |t| of
+    t + (w,).  Every target then has its atoms in W and a carrier orbit, so
+    it is a node."""
     pool = sorted(W)
     tuples = [(s, list(canonical_tuples(s, pool))) for s in c.carrier]
     ids = {}
