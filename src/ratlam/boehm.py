@@ -120,7 +120,9 @@ def _canonicalize(t: FiniteTerm) -> FiniteTerm:
     """Rename binders to the least atoms outside fv(t), in traversal order.
 
     α-equivalent terms with the same free variables get identical results,
-    which makes canonical forms usable as memo keys.
+    which makes canonical forms usable as memo keys.  It is idempotent, and a
+    canonical term comes back as the same object: a subterm whose binders
+    and free names all stay is returned as it is.
     """
     taken = fv(t)
     names = (Atom(i) for i in itertools.count() if i not in taken)
@@ -130,24 +132,29 @@ def _canonicalize(t: FiniteTerm) -> FiniteTerm:
 def _rename_binders(t: FiniteTerm, bound: dict[Atom, Atom], names: Iterator[Atom]) -> FiniteTerm:
     match t:
         case Var(a):
-            return Var(bound.get(a, a))
+            a2 = bound.get(a, a)
+            return t if a2 == a else Var(a2)
         case Bot():
             return t
         case App(f, a):
-            return App(_rename_binders(f, bound, names), _rename_binders(a, bound, names))
+            f2, a2 = _rename_binders(f, bound, names), _rename_binders(a, bound, names)
+            return t if f2 is f and a2 is a else App(f2, a2)
         case Lam(x, b):
             x2 = next(names)
-            return Lam(x2, _rename_binders(b, {**bound, x: x2}, names))
+            b2 = _rename_binders(b, {**bound, x: x2}, names)
+            return t if x2 == x and b2 is b else Lam(x2, b2)
 
 
 def bt_graph(t: FiniteTerm, budget: BtBudget) -> TermGraph | None:
     """Try to build the Böhm tree as a finite graph; None means unknown.
 
     States are memoized by α-canonical form (free atoms stay concrete); a
-    recurring state becomes a back edge.  The answer is None exactly when
-    more than `budget.states` states are reachable or one of them runs out
-    of fuel, whatever the visiting order; the Böhm tree may still be
-    rational — this is a semi-decision.
+    recurring state becomes a back edge.  Every memo key is canonical, and
+    `_canonicalize` is idempotent, so an argument found in the memo as it is
+    needs no canonicalizing: each state is canonicalized once.  The answer
+    is None exactly when more than `budget.states` states are reachable or
+    one of them runs out of fuel, whatever the visiting order; the Böhm tree
+    may still be rational — this is a semi-decision.
     """
     nodes: dict[int, tuple] = {}
     memo: dict[FiniteTerm, int] = {_canonicalize(t): 0}
@@ -165,13 +172,16 @@ def bt_graph(t: FiniteTerm, budget: BtBudget) -> TermGraph | None:
         ids = [next(counter) for _ in range(len(res.args) + len(res.binders))] + [memo[key]]
         nodes[ids[0]] = ("var", res.head)
         for i, arg in enumerate(res.args, 1):
-            arg = _canonicalize(arg)
-            if arg not in memo:
+            state = memo.get(arg)
+            if state is None:
+                arg = _canonicalize(arg)
+                state = memo.get(arg)
+            if state is None:
                 if len(memo) >= budget.states:
                     return None
-                memo[arg] = next(counter)
+                state = memo[arg] = next(counter)
                 pending.append(arg)
-            nodes[ids[i]] = ("app", ids[i - 1], memo[arg])
+            nodes[ids[i]] = ("app", ids[i - 1], state)
         for i, x in enumerate(reversed(res.binders), len(res.args) + 1):
             nodes[ids[i]] = ("lam", x, ids[i - 1])
     return TermGraph(nodes, 0)

@@ -20,14 +20,18 @@ from .terms import App, Bot, FiniteTerm, Lam, TermGraph, Var, fv
 
 
 def subst_finite(t: FiniteTerm, v: Atom, s: FiniteTerm) -> FiniteTerm:
-    """t[v := s], capture-avoiding; binders renamed to least fresh atoms."""
+    """t[v := s], capture-avoiding; binders renamed to least fresh atoms.
+
+    A subterm the substitution leaves alone is returned as the same object,
+    and the `fv` checks read the sets the terms keep."""
     match t:
         case Var(a):
             return s if a == v else t
         case Bot():
             return t
         case App(f, a):
-            return App(subst_finite(f, v, s), subst_finite(a, v, s))
+            f2, a2 = subst_finite(f, v, s), subst_finite(a, v, s)
+            return t if f2 is f and a2 is a else App(f2, a2)
         case Lam(x, b):
             if x == v or v not in fv(b):
                 return t

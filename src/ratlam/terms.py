@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable
 
 from .nominal import Atom, Perm
@@ -20,6 +20,8 @@ from .nominal import Atom, Perm
 class _Term:
     """What every finite term and μ-term shares: its support is its free
     variables, and it prints as μ-term syntax."""
+
+    __slots__ = ()
 
     def support(self) -> frozenset[Atom]:
         return fv(self)
@@ -45,22 +47,86 @@ class Bot(_Term):
 BOT = Bot()
 
 
-@dataclass(frozen=True)
-class Lam(_Term):
-    binder: Atom
-    body: "FiniteTerm"
+class _Node(_Term):
+    """What Lam and App share.  A node is hashed once, when it is built, from
+    its fields, whose hashes are already known, so hashing never walks a term;
+    `fv` keeps a node's free variables the first time it is asked.  Equality
+    stops at shared subterms and at unequal hashes.  Nodes are immutable, as
+    the dataclass terms are; the kept hash relies on it."""
+
+    __slots__ = ("_hash", "_fv")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return _same(self, other)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Lam(_Node):
+    __slots__ = __match_args__ = ("binder", "body")
+
+    def __init__(self, binder: Atom, body: "MuTerm"):
+        _set_binder(self, binder)
+        _set_body(self, body)
+        _set_hash(self, hash((binder, body)))
+        _set_fv(self, None)
 
     def act(self, p: Perm) -> "Lam":
         return Lam(p(self.binder), self.body.act(p))
 
 
-@dataclass(frozen=True)
-class App(_Term):
-    fn: "FiniteTerm"
-    arg: "FiniteTerm"
+class App(_Node):
+    __slots__ = __match_args__ = ("fn", "arg")
+
+    def __init__(self, fn: "MuTerm", arg: "MuTerm"):
+        _set_fn(self, fn)
+        _set_arg(self, arg)
+        _set_hash(self, hash((fn, arg)))
+        _set_fv(self, None)
 
     def act(self, p: Perm) -> "App":
         return App(self.fn.act(p), self.arg.act(p))
+
+
+# The slots' own setters, which the frozen `__setattr__` leaves for `__init__`.
+_set_hash, _set_fv = _Node._hash.__set__, _Node._fv.__set__
+_set_binder, _set_body = Lam.binder.__set__, Lam.body.__set__
+_set_fn, _set_arg = App.fn.__set__, App.arg.__set__
+
+
+def _same(s: _Node, t) -> bool:
+    """Structural equality, on an explicit stack."""
+    todo = [(s, t)]
+    while todo:
+        s, t = todo.pop()
+        if s is t:
+            continue
+        if type(s) is not type(t):
+            return False
+        if type(s) is Lam:
+            if s._hash != t._hash or s.binder != t.binder:
+                return False
+            todo.append((s.body, t.body))
+        elif type(s) is App:
+            if s._hash != t._hash:
+                return False
+            todo += (s.arg, t.arg), (s.fn, t.fn)
+        elif s != t:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -79,19 +145,24 @@ MuTerm = Var | Bot | Lam | App | Mu | Ref
 
 
 def fv(t: MuTerm) -> frozenset[Atom]:
-    """Free variables; μ-references contribute nothing by themselves."""
+    """Free variables; μ-references contribute nothing by themselves.  A Lam
+    or App node keeps its set, so asking again costs O(1)."""
     match t:
+        case Lam(x, b, _fv=None):
+            _set_fv(t, fv(b) - {x})
+        case App(f, a, _fv=None):
+            _set_fv(t, fv(f) | fv(a))
+        case _Node():
+            pass
         case Var(a):
             return frozenset({a})
         case Bot() | Ref(_):
             return frozenset()
-        case Lam(x, b):
-            return fv(b) - {x}
-        case App(f, a):
-            return fv(f) | fv(a)
         case Mu(_, b):
             return fv(b)
-    raise TypeError(f"not a term: {t!r}")
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    return t._fv
 
 
 def is_finite(t: MuTerm) -> bool:
