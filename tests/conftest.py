@@ -5,6 +5,7 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import strategies as st
 
 from ratlam import (
     App,
@@ -405,6 +406,67 @@ def free_order_by_search(g: TermGraph, fvs, n: int) -> tuple[Atom, ...]:
                 seen.add(state)
                 queue.append(state)
     return tuple(found)
+
+
+# ---------------------------------------------------------------------------
+# References for the hash, equality and free variables that Lam and App keep:
+# the same answers by walking the term.  `finite_terms` draws random finite
+# terms over four atoms.
+
+_small_atoms = st.builds(Atom, st.integers(min_value=0, max_value=3))
+finite_terms = st.recursive(
+    st.builds(Var, _small_atoms) | st.just(BOT),
+    lambda sub: st.builds(Lam, _small_atoms, sub) | st.builds(App, sub, sub),
+    max_leaves=16,
+)
+
+
+def fv_by_walk(t: FiniteTerm) -> frozenset[Atom]:
+    match t:
+        case Var(a):
+            return frozenset({a})
+        case Bot():
+            return frozenset()
+        case Lam(x, b):
+            return fv_by_walk(b) - {x}
+        case App(f, a):
+            return fv_by_walk(f) | fv_by_walk(a)
+
+
+def same_by_walk(s: FiniteTerm, t: FiniteTerm) -> bool:
+    """Structural equality, field by field."""
+    match (s, t):
+        case (Var(a), Var(b)):
+            return a == b
+        case (Bot(), Bot()):
+            return True
+        case (Lam(x, b), Lam(y, c)):
+            return x == y and same_by_walk(b, c)
+        case (App(f1, a1), App(f2, a2)):
+            return same_by_walk(f1, f2) and same_by_walk(a1, a2)
+    return False
+
+
+def rebuilt(t: FiniteTerm) -> FiniteTerm:
+    """A copy of t that shares no Var, Lam or App object with it."""
+    match t:
+        case Var(a):
+            return Var(a)
+        case Lam(x, b):
+            return Lam(x, rebuilt(b))
+        case App(f, a):
+            return App(rebuilt(f), rebuilt(a))
+    return t
+
+
+def subterms(t: FiniteTerm) -> list[FiniteTerm]:
+    """Every subterm occurrence, in preorder."""
+    match t:
+        case Lam(_, b):
+            return [t, *subterms(b)]
+        case App(f, a):
+            return [t, *subterms(f), *subterms(a)]
+    return [t]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import random
 
 import pytest
+from hypothesis import given
 
 from ratlam import (
     App,
@@ -26,9 +27,10 @@ from ratlam import (
     print_graph,
     truncate,
 )
+from ratlam import boehm
 from ratlam.boehm import _canonicalize, _spine, _unspine
 
-from conftest import alpha_eq_finite, random_finite_term
+from conftest import alpha_eq_finite, finite_terms, random_finite_term
 
 # ---------------------------------------------------------------------------
 # Head reduction
@@ -211,6 +213,27 @@ def test_bt_graph_unknown_on_divergence():
 def test_bt_graph_unknown_on_growing_fronts():
     t = App(gen_u(), Var(Atom(3)))
     assert bt_graph(t, BtBudget(states=64)) is None
+
+
+def test_bt_graph_canonicalizes_each_state_at_most_once(monkeypatch):
+    # an argument already in the memo is a canonical key, so only new
+    # states and non-canonical repeats reach _canonicalize: 64 states and
+    # the one that exceeds the budget
+    calls = []
+    canonicalize = boehm._canonicalize
+    monkeypatch.setattr(boehm, "_canonicalize", lambda t: calls.append(t) or canonicalize(t))
+    assert bt_graph(App(gen_u(), Var(Atom(3))), BtBudget(states=64)) is None
+    assert len(calls) <= 65
+
+
+@given(finite_terms)
+def test_canonicalize_is_idempotent(t):
+    # bt_graph's memo shortcut rests on this: a canonical term is its own
+    # canonical form, returned as the same object
+    c = _canonicalize(t)
+    assert _canonicalize(c) == c
+    assert _canonicalize(c) is c
+    assert fv(c) == fv(t) and alpha_eq_finite(c, t)
 
 
 @pytest.mark.parametrize("call", [

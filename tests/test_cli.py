@@ -264,6 +264,20 @@ def test_print_deep_application():
     assert text == "v0 (" * (n - 1) + "v0 v1" + ")" * (n - 1) + "\n"
 
 
+def test_bt_graph_deep_application():
+    # at the default recursion limit: every state is hashed in O(1), so the
+    # memo meets no recursion wall; the 600 argument states exceed the budget
+    n = 600
+    assert _run(["bt-graph", "(v0 " * n + "v1" + ")" * n]) == (0, "unknown\n")
+
+
+def test_bt_graph_deep_lambda_chain():
+    n = 500
+    code, text = _run(["bt-graph", "\\v1. " * n + "v0"])
+    assert code == 0
+    assert text == "".join(f"\\v{i}. " for i in range(1, n + 1)) + "v0\n"
+
+
 def test_outputs_are_deterministic():
     for argv in (
         ["print", r"mu r. \x. x #r"],

@@ -1,8 +1,10 @@
+import pickle
 import random
 import sys
 import time
 
 import pytest
+from hypothesis import given
 
 from ratlam import (
     App,
@@ -18,6 +20,7 @@ from ratlam import (
     UnguardedMu,
     Var,
     alpha_bisim,
+    fv,
     gen_rsigma,
     graph_of,
     minimize,
@@ -29,11 +32,13 @@ from ratlam import (
     swap,
     truncate,
 )
-from ratlam.terms import _bisim_check, _classes, _label_key, _lmap
+from ratlam.terms import _bisim_check, _classes, _label_key, _lmap, _set_hash
 
 from conftest import (
     CORPUS,
     alpha_eq_finite,
+    finite_terms,
+    fv_by_walk,
     glued,
     literal_classes_by_rounds,
     parse_term_by_descent,
@@ -42,8 +47,64 @@ from conftest import (
     random_term_graph,
     reach_by_closure,
     reachable_by_stack,
+    rebuilt,
+    same_by_walk,
+    subterms,
     unfold_muterm,
 )
+
+# ---------------------------------------------------------------------------
+# Finite terms: the hash, equality and free variables that Lam and App keep
+
+
+@given(finite_terms)
+def test_terms_built_apart_are_equal_and_hash_alike(t):
+    copy = rebuilt(t)
+    assert copy == t and t == copy and not copy != t
+    assert hash(copy) == hash(t)
+    assert pickle.loads(pickle.dumps(t)) == t
+
+
+def hashed_alike(t):
+    """A copy of t whose λ and application nodes all hash to 0, so that
+    equality has to decide by structure alone."""
+    t = rebuilt(t)
+    for u in subterms(t):
+        if isinstance(u, (Lam, App)):
+            _set_hash(u, 0)
+    return t
+
+
+@given(finite_terms, finite_terms)
+def test_term_equality_is_structural(s, t):
+    if s == t:
+        assert hash(s) == hash(t)
+    for s, t in ((s, t), (hashed_alike(s), hashed_alike(t))):
+        assert (s == t) == same_by_walk(s, t)
+        assert (s != t) != same_by_walk(s, t)
+
+
+@given(finite_terms)
+def test_kept_fv_is_the_walked_fv(t):
+    # the root is asked first, so every subterm below it reads a kept set
+    for u in subterms(t):
+        assert fv(u) == fv_by_walk(u)
+    assert fv(rebuilt(t)) == fv_by_walk(t)
+
+
+def test_deep_terms_hash_and_compare_without_recursion():
+    def chain(n: int, leaf: Atom):
+        t = Var(leaf)
+        for _ in range(n):
+            t = App(Var(Atom(0)), Lam(Atom(1), t))
+        return t
+
+    s, t = chain(10_000, Atom(1)), chain(10_000, Atom(1))
+    assert s is not t and hash(s) == hash(t) and s == t
+    assert s != chain(10_000, Atom(2))
+    with pytest.raises(AttributeError):
+        s.fn = Var(Atom(2))
+
 
 # ---------------------------------------------------------------------------
 # Parsing
