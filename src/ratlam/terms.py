@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable
 
@@ -166,13 +167,16 @@ def fv(t: MuTerm) -> frozenset[Atom]:
 
 
 def is_finite(t: MuTerm) -> bool:
-    match t:
-        case Mu(_, _) | Ref(_):
+    """True iff no μ or #ref occurs in t; on an explicit stack."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is Lam:
+            todo.append(t.body)
+        elif type(t) is App:
+            todo += t.fn, t.arg
+        elif type(t) is Mu or type(t) is Ref:
             return False
-        case Lam(_, b):
-            return is_finite(b)
-        case App(f, a):
-            return is_finite(f) and is_finite(a)
     return True
 
 
@@ -403,22 +407,32 @@ class TermGraph:
         return [n for kind, n, _ in _dfs(self) if kind == _ENTER]
 
     def fv_map(self) -> dict[int, frozenset[Atom]]:
-        """Free variables per node: least fixpoint of the structural equations."""
-        fvs: dict[int, frozenset[Atom]] = {n: frozenset() for n in self.nodes}
+        """Free variables per node: least fixpoint of the structural equations.
+
+        Sweeps run in insertion order until one changes nothing.  A node
+        reuses a child's set when the union or the binder removal adds
+        nothing, so a sweep allocates only where a set grows.  A chain
+        inserted root first gains one node per sweep: quadratic time.
+        """
+        empty = frozenset()
+        fvs = {n: frozenset(label[1:]) if label[0] == "var" else empty
+               for n, label in self.nodes.items()}
         changed = True
         while changed:
             changed = False
             for n, label in self.nodes.items():
-                match label:
-                    case ("var", a):
-                        new = frozenset({a})
-                    case ("bot",):
-                        new = frozenset()
-                    case ("lam", x, b):
-                        new = fvs[b] - {x}
-                    case ("app", f, a):
-                        new = fvs[f] | fvs[a]
-                if new != fvs[n]:
+                kind = label[0]
+                if kind == "app":
+                    f, a = fvs[label[1]], fvs[label[2]]
+                    new = f if a <= f else a if f <= a else f | a
+                elif kind == "lam":
+                    new = fvs[label[2]]
+                    if label[1] in new:
+                        new = new - {label[1]}
+                else:
+                    continue
+                old = fvs[n]
+                if new is not old and new != old:
                     fvs[n] = new
                     changed = True
         return fvs
@@ -529,15 +543,14 @@ def _mu_term(g: TermGraph, n: int, labels: dict[int, str], emitted: set[int]) ->
     return Mu(labels[n], body) if n in labels else body
 
 
-_ENTER, _EDGE, _EXIT = range(3)
+_ENTER, _EDGE = range(2)
 
 
 def _dfs(g: TermGraph):
     """Depth-first search from the root, children in order, on an explicit stack.
 
-    Yields (_ENTER, n, None) when n is first reached, (_EDGE, n, c) for each
-    edge n → c whose target was reached before, and (_EXIT, n, None) when
-    every child of n is done; by then each child has been entered.
+    Yields (_ENTER, n, None) when n is first reached and (_EDGE, n, c) for
+    each edge n → c whose target was reached before.
     """
     root = g.root
     seen = {root}
@@ -555,7 +568,6 @@ def _dfs(g: TermGraph):
                 break
         else:
             stack.pop()
-            yield _EXIT, n, None
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +667,11 @@ def _classes(g: TermGraph, key: Callable[[int], tuple]) -> dict[int, int]:
     gives literal equality of unfoldings (`subtree_count`, `minimize`); the
     slot key of `coalgebra._orbit_classes` gives orbit equivalence.
 
-    One depth-first search classes the nodes in postorder.  At its exit, a
-    node whose children all have a class reaches no cycle, so its unfolding
-    is finite: it gets its final class at once, hash-consed from its key and
-    its children's classes.  Any other node reaches a cycle, because a child
+    One depth-first postorder loop on an explicit stack records each node's
+    children once and classes the nodes at their exit.  There, a node whose
+    children all have a class reaches no cycle, so its unfolding is finite:
+    it gets its final class at once, hash-consed from its key and its
+    children's classes.  Any other node reaches a cycle, because a child
     without a class is still on the search path or reaches a cycle itself.
     These nodes start from their keys plus the classes of their finite
     children, which keeps them apart from every finite class, and blocks are
@@ -666,60 +679,70 @@ def _classes(g: TermGraph, key: Callable[[int], tuple]) -> dict[int, int]:
     A split moves every part but the largest to a new block and re-examines
     only the predecessors of moved nodes (Hopcroft's smaller half), so a node
     moves O(log n) times and the whole costs O(n log n) for the n reachable
-    nodes.
+    nodes.  A block of one node never splits, so only larger blocks keep a
+    member set.
     """
+    nodes = g.nodes
     cls: dict[int, int] = {}
     consed: dict[tuple, int] = {}
     infinite: list[int] = []
-    for kind, n, _ in _dfs(g):
-        if kind != _EXIT:
-            continue
-        kids = _children(g.nodes[n])
-        if all(c in cls for c in kids):
-            k = (key(n), tuple([cls[c] for c in kids]))
-            cls[n] = consed.setdefault(k, len(consed))
+    kids_of = {g.root: _children(nodes[g.root])}
+    stack = [(g.root, iter(kids_of[g.root]))]
+    while stack:
+        n, kids = stack[-1]
+        for c in kids:
+            if c not in kids_of:
+                kids_of[c] = ckids = _children(nodes[c])
+                stack.append((c, iter(ckids)))
+                break
         else:
-            infinite.append(n)
+            stack.pop()
+            sig = tuple([cls.get(c) for c in kids_of[n]])
+            if None in sig:
+                infinite.append(n)
+            else:
+                cls[n] = consed.setdefault((key(n), sig), len(consed))
 
     block: dict[int, int] = {}
-    members: dict[int, set[int]] = {}
+    members: dict[int, list[int]] = defaultdict(list)
     preds: dict[int, list[int]] = {n: [] for n in infinite}
     seeds: dict[tuple, int] = {}
     for n in infinite:
-        kids = _children(g.nodes[n])
+        kids = kids_of[n]
         for c in kids:
             if c in preds:
                 preds[c].append(n)
-        b = seeds.setdefault((key(n), tuple([cls.get(c) for c in kids])),
-                             len(consed) + len(seeds))
-        block[n] = b
-        members.setdefault(b, set()).add(n)
+        k = (key(n), tuple([cls.get(c) for c in kids]))
+        b = block[n] = seeds.setdefault(k, len(consed) + len(seeds))
+        members[b].append(n)
+    multi = {b: set(ms) for b, ms in members.items() if len(ms) > 1}
     fresh = itertools.count(len(consed) + len(seeds))
     dirty = set(infinite)
     while dirty:
-        touched: dict[int, dict[tuple, list[int]]] = {}
+        touched: dict[int, dict[tuple, list[int]]] = defaultdict(lambda: defaultdict(list))
         for n in dirty:
             b = block[n]
-            if len(members[b]) > 1:
-                sig = tuple([block.get(c) for c in _children(g.nodes[n])])
-                touched.setdefault(b, {}).setdefault(sig, []).append(n)
+            if len(multi.get(b, ())) > 1:
+                touched[b][tuple([block.get(c) for c in kids_of[n]])].append(n)
         moved: list[int] = []
         for b, groups in touched.items():
+            ms = multi[b]
             parts = sorted(groups.values(), key=len)
-            rest = len(members[b]) - sum(map(len, parts))
+            rest = len(ms) - sum(map(len, parts))
             if rest == 0 and len(parts) == 1:
                 continue
             keep = parts.pop() if len(parts[-1]) > rest else None
             if keep is not None and rest:
                 # the untouched members are fewer than the largest part: move them
-                parts.append(list(members[b].difference(keep, *parts)))
+                parts.append(list(ms.difference(keep, *parts)))
             for part in parts:
                 nb = next(fresh)
-                members[nb] = set(part)
-                members[b].difference_update(part)
+                if len(part) > 1:
+                    multi[nb] = set(part)
+                ms.difference_update(part)
                 for n in part:
                     block[n] = nb
-                moved.extend(part)
+                moved += part
         dirty = {p for n in moved for p in preds[n]}
     cls.update(block)
     return cls
