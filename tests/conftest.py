@@ -234,9 +234,10 @@ def graph_eq_literal(g1: TermGraph, g2: TermGraph) -> bool:
 
 # ---------------------------------------------------------------------------
 # Reference algorithms for the graph core, for small graphs: a preorder on its
-# own stack for TermGraph.reachable, round-based refinement for
-# ratlam.terms._classes under the literal key, and a print_graph that places
-# its μs by in-degrees, the transitive closure and a recursive scan.
+# own stack for TermGraph.reachable, rounds that allocate a set per node for
+# TermGraph.fv_map, round-based refinement for ratlam.terms._classes under the
+# literal key, and a print_graph that places its μs by in-degrees, the
+# transitive closure and a recursive scan.
 
 
 def reachable_by_stack(g: TermGraph) -> list[int]:
@@ -273,6 +274,29 @@ def literal_classes_by_rounds(g: TermGraph) -> dict[int, int]:
         if new == cls:
             return new
         cls = new
+
+
+def fv_map_by_rounds(g: TermGraph) -> dict[int, frozenset[Atom]]:
+    """Free variables per node: rounds over every node, one match per label
+    and a new set per node, until a round changes nothing."""
+    fvs: dict[int, frozenset[Atom]] = {n: frozenset() for n in g.nodes}
+    changed = True
+    while changed:
+        changed = False
+        for n, label in g.nodes.items():
+            match label:
+                case ("var", a):
+                    new = frozenset({a})
+                case ("bot",):
+                    new = frozenset()
+                case ("lam", x, b):
+                    new = fvs[b] - {x}
+                case ("app", f, a):
+                    new = fvs[f] | fvs[a]
+            if new != fvs[n]:
+                fvs[n] = new
+                changed = True
+    return fvs
 
 
 def reach_by_closure(g: TermGraph) -> dict[int, set[int]]:

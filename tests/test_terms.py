@@ -32,13 +32,15 @@ from ratlam import (
     swap,
     truncate,
 )
-from ratlam.terms import _bisim_check, _classes, _label_key, _lmap, _set_hash
+from ratlam import terms
+from ratlam.terms import _bisim_check, _classes, _label_key, _lmap, _set_hash, is_finite
 
 from conftest import (
     CORPUS,
     alpha_eq_finite,
     finite_terms,
     fv_by_walk,
+    fv_map_by_rounds,
     glued,
     literal_classes_by_rounds,
     parse_term_by_descent,
@@ -104,6 +106,17 @@ def test_deep_terms_hash_and_compare_without_recursion():
     assert s != chain(10_000, Atom(2))
     with pytest.raises(AttributeError):
         s.fn = Var(Atom(2))
+
+
+def test_is_finite_has_no_nesting_limit():
+    app, lam, under_ref, under_mu = Var(Atom(0)), Var(Atom(0)), Ref("r"), Mu("r", Var(Atom(0)))
+    for _ in range(10_000):
+        app = App(Var(Atom(1)), app)
+        lam = Lam(Atom(1), lam)
+        under_ref = App(Var(Atom(1)), under_ref)
+        under_mu = Lam(Atom(1), under_mu)
+    assert is_finite(app) and is_finite(lam)
+    assert not is_finite(under_ref) and not is_finite(under_mu)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +467,45 @@ def test_alpha_bisim_computes_each_fv_map_once(monkeypatch):
     assert calls == [g1, g2]
 
 
+def _random_graph(rng: random.Random, n: int) -> TermGraph:
+    """Any labels over n nodes, ⊥ included, and a root drawn at random, so
+    that some nodes are unreachable."""
+    atoms = [Atom(i) for i in range(3)]
+    nodes = {}
+    for i in rng.sample(range(n), n):
+        kind = rng.choice(("var", "bot", "lam", "lam", "app", "app"))
+        if kind == "var":
+            nodes[i] = ("var", rng.choice(atoms))
+        elif kind == "bot":
+            nodes[i] = ("bot",)
+        elif kind == "lam":
+            nodes[i] = ("lam", rng.choice(atoms), rng.randrange(n))
+        else:
+            nodes[i] = ("app", rng.randrange(n), rng.randrange(n))
+    return TermGraph(nodes, rng.randrange(n))
+
+
+def test_fv_map_agrees_with_rounds():
+    rng = random.Random(71)
+    graphs = [_random_graph(rng, rng.randint(1, 12)) for _ in range(600)]
+    graphs += [gen_rsigma(levels) for levels in (1, 2, 3)]
+    # a λ-chain inserted root first: each sweep settles one more node
+    chain = {i: ("lam", Atom(1), i + 1) for i in range(1_999)}
+    graphs.append(TermGraph({**chain, 1_999: ("var", Atom(0))}, 0))
+    seen = set()
+    for g in graphs:
+        got = g.fv_map()
+        assert list(got.items()) == list(fv_map_by_rounds(g).items())
+        if len(g.reachable()) < len(g.nodes):
+            seen.add("unreachable")
+        for label in g.nodes.values():
+            if label[0] == "bot":
+                seen.add("bot")
+            elif label[0] == "lam":
+                seen.add("binder free" if label[1] in got[label[2]] else "binder not free")
+    assert seen == {"unreachable", "bot", "binder free", "binder not free"}
+
+
 def test_alpha_bisim_renaming_allows_free_variable_bijection():
     g1 = graph_of(parse_term("mu r. v0 #r"))
     g2 = graph_of(parse_term("mu r. v1 #r"))
@@ -523,6 +575,18 @@ def test_graph_core_agrees_with_reference_algorithms():
             k = len({cls[n] for n in finite})
             assert {cls[n] for n in finite} == set(range(k))
             assert all(cls[n] >= k for n in order if n not in finite)
+
+
+def test_classes_computes_each_nodes_children_once(monkeypatch):
+    # the postorder loop records each reachable node's children, and every
+    # later step reads them from there
+    g = gen_rsigma(3)
+    reachable = len(g.reachable())
+    calls = []
+    children = terms._children
+    monkeypatch.setattr(terms, "_children", lambda label: calls.append(label) or children(label))
+    assert subtree_count(g) == rsigma_count(3)
+    assert len(calls) == reachable
 
 
 def test_subtree_count_rsigma_4():
