@@ -411,7 +411,7 @@ class TermGraph:
 
         Sweeps run in insertion order until one changes nothing.  A node
         reuses a child's set when the union or the binder removal adds
-        nothing, so a sweep allocates only where a set grows.  A chain
+        nothing, and keeps its own set while a sweep finds it equal.  A chain
         inserted root first gains one node per sweep: quadratic time.
         """
         empty = frozenset()
