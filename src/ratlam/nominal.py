@@ -45,16 +45,14 @@ class Perm:
     so equality of permutations is equality of these maps.
     """
 
-    __slots__ = ("_map", "_hash")
+    __slots__ = ("_map",)
 
     def __init__(self, mapping: dict[Atom, Atom] | None = None):
         m = {a: b for a, b in (mapping or {}).items() if a != b}
+        # a finite map whose key set equals its value set is injective
         if set(m.keys()) != set(m.values()):
             raise ValueError("not a permutation: domain and image differ")
-        if len(set(m.values())) != len(m):
-            raise ValueError("not a permutation: map is not injective")
-        object.__setattr__(self, "_map", m)
-        object.__setattr__(self, "_hash", hash(frozenset(m.items())))
+        self._map = m
 
     def __call__(self, a: Atom) -> Atom:
         return self._map.get(a, a)
@@ -63,7 +61,7 @@ class Perm:
         return isinstance(other, Perm) and self._map == other._map
 
     def __hash__(self):
-        return self._hash
+        return hash(frozenset(self._map.items()))
 
     @property
     def moved(self) -> frozenset[Atom]:

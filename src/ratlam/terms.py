@@ -1,7 +1,9 @@
 """Finite λ⊥-terms, μ-term syntax, rational term graphs and α-equivalence.
 
-α-equivalence is decided on term graphs, by a bisimulation that decides it
-for the infinite unfoldings; a finite term is compared through its graph.
+α-equivalence is decided on term graphs, by a search over node pairs on an
+explicit stack that decides it for the infinite unfoldings, so it has no
+nesting limit; a finite term is compared through its graph.  `graph_of`,
+`print_graph` and `truncate` still recurse.
 """
 
 from __future__ import annotations
@@ -602,58 +604,51 @@ def _truncate(g: TermGraph, n: int, d: int, memo: dict[tuple[int, int], FiniteTe
 
 
 # ---------------------------------------------------------------------------
-# α-equivalence of unfoldings: bisimulation on term graphs
+# α-equivalence of unfoldings: reachability over node pairs
 
 
 def alpha_bisim(g1: TermGraph, g2: TermGraph) -> bool:
     """True iff the infinite unfoldings of g1 and g2 are α-equivalent.
 
-    Free variables are concrete names, so the initial correspondence is the
-    identity on the shared free variables.
+    Free variables are concrete names, so the search starts at the two roots
+    with the identity on the root's free names, and walks node pairs on an
+    explicit stack, each with a map from g1's names to g2's.  A λ pair maps
+    its binders to each other and fails if a free name of the body already
+    maps to g2's binder (capture); a var pair needs its names to correspond.
+    Every free occurrence in either graph is reached, so these two checks
+    also make the map a bijection onto g2's free names, and only g1's free
+    names are needed.  A subtree of a λ-tree has no nontrivial stabilizer:
+    its free names sit at fixed positions, so at most one map can hold at a
+    node pair.  A pair is therefore visited once, and a second arrival whose
+    map differs on the free names of g1's node is False.
     """
-    fv1, fv2 = g1.fv_map(), g2.fv_map()
-    rho0 = frozenset((a, a) for a in fv1[g1.root])
-    return _bisim_check(g1, g2, fv1, fv2, set(), g1.root, g2.root, rho0)
-
-
-def _bisim_check(g1: TermGraph, g2: TermGraph, fv1: dict, fv2: dict, assumed: set[tuple],
-                 n1: int, n2: int, rho: frozenset[tuple[Atom, Atom]]) -> bool:
-    """Greatest fixpoint over (node, node, injection) triples, from n1, n2, rho.
-
-    The candidate relation is uniquely determined at every state, so
-    assume-and-check with a memoized assumption set is a sound and complete
-    decision procedure on the finite state space.
-    """
-    state = (n1, n2, rho)
-    if state in assumed:
-        return True
-    dom = frozenset(a for a, _ in rho)
-    img = {b for _, b in rho}
-    if dom != fv1[n1] or img != fv2[n2] or len(img) != len(rho):
-        return False
-    assumed.add(state)
-    rmap = dict(rho)
-    match (g1.nodes[n1], g2.nodes[n2]):
-        case (("var", a), ("var", b)):
-            return rmap[a] == b
-        case (("bot",), ("bot",)):
-            return True
-        case (("app", f1, a1), ("app", f2, a2)):
-            return (_bisim_check(g1, g2, fv1, fv2, assumed, f1, f2, _restrict(rho, fv1[f1]))
-                    and _bisim_check(g1, g2, fv1, fv2, assumed, a1, a2, _restrict(rho, fv1[a1])))
-        case (("lam", x1, b1), ("lam", x2, b2)):
-            pairs = {(a, b) for a, b in rho if a in fv1[b1] and a != x1}
-            if any(b == x2 for _, b in pairs):
-                return False  # free name would be captured
-            if x1 in fv1[b1]:
-                pairs.add((x1, x2))
-            return _bisim_check(g1, g2, fv1, fv2, assumed, b1, b2, frozenset(pairs))
-        case _:
+    fv1, nodes1, nodes2 = g1.fv_map(), g1.nodes, g2.nodes
+    seen: dict[tuple[int, int], dict[Atom, Atom]] = {}
+    todo = [(g1.root, g2.root, {a: a for a in fv1[g1.root]})]
+    while todo:
+        n1, n2, rho = todo.pop()
+        if (old := seen.get((n1, n2))) is not None:
+            if old is not rho and any(old[a] != rho[a] for a in fv1[n1]):
+                return False
+            continue
+        seen[n1, n2] = rho
+        l1, l2 = nodes1[n1], nodes2[n2]
+        kind = l1[0]
+        if kind != l2[0]:
             return False
-
-
-def _restrict(rho: frozenset[tuple[Atom, Atom]], dom: frozenset[Atom]):
-    return frozenset((a, b) for a, b in rho if a in dom)
+        if kind == "app":
+            todo += (l1[1], l2[1], rho), (l1[2], l2[2], rho)
+        elif kind == "lam":
+            x1, b1, x2 = l1[1], l1[2], l2[1]
+            body = fv1[b1]
+            if any(rho[a] == x2 for a in body if a != x1):
+                return False  # a free name would be captured
+            if x1 in body and rho.get(x1) != x2:
+                rho = {**rho, x1: x2}
+            todo.append((b1, l2[2], rho))
+        elif kind == "var" and rho[l1[1]] != l2[1]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

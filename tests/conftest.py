@@ -42,7 +42,6 @@ from ratlam import (
 from ratlam.terms import (
     FiniteTerm,
     MuTerm,
-    _bisim_check,
     _children,
     _label_key,
     _lmap,
@@ -372,6 +371,56 @@ def print_graph_by_scan(g: TermGraph) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Reference for ratlam.terms.alpha_bisim: the greatest fixpoint over (node,
+# node, injection) triples, by recursion with an assumption set, checking the
+# domain, image and injectivity of the injection at every state.
+
+
+def alpha_bisim_by_fixpoint(g1: TermGraph, g2: TermGraph) -> bool:
+    fv1, fv2 = g1.fv_map(), g2.fv_map()
+    rho0 = frozenset((a, a) for a in fv1[g1.root])
+    return bisim_check(g1, g2, fv1, fv2, set(), g1.root, g2.root, rho0)
+
+
+def bisim_check(g1: TermGraph, g2: TermGraph, fv1: dict, fv2: dict, assumed: set[tuple],
+                n1: int, n2: int, rho: frozenset[tuple[Atom, Atom]]) -> bool:
+    """Whether the unfoldings at n1 and n2 are α-equivalent under rho, a set
+    of (g1 name, g2 name) pairs: assume-and-check with the assumptions kept
+    in `assumed`, sound and complete because the candidate injection is
+    determined at every state."""
+    state = (n1, n2, rho)
+    if state in assumed:
+        return True
+    dom = frozenset(a for a, _ in rho)
+    img = {b for _, b in rho}
+    if dom != fv1[n1] or img != fv2[n2] or len(img) != len(rho):
+        return False
+    assumed.add(state)
+    rmap = dict(rho)
+    match (g1.nodes[n1], g2.nodes[n2]):
+        case (("var", a), ("var", b)):
+            return rmap[a] == b
+        case (("bot",), ("bot",)):
+            return True
+        case (("app", f1, a1), ("app", f2, a2)):
+            return (bisim_check(g1, g2, fv1, fv2, assumed, f1, f2, _restrict(rho, fv1[f1]))
+                    and bisim_check(g1, g2, fv1, fv2, assumed, a1, a2, _restrict(rho, fv1[a1])))
+        case (("lam", x1, b1), ("lam", x2, b2)):
+            pairs = {(a, b) for a, b in rho if a in fv1[b1] and a != x1}
+            if any(b == x2 for _, b in pairs):
+                return False  # free name would be captured
+            if x1 in fv1[b1]:
+                pairs.add((x1, x2))
+            return bisim_check(g1, g2, fv1, fv2, assumed, b1, b2, frozenset(pairs))
+        case _:
+            return False
+
+
+def _restrict(rho: frozenset[tuple[Atom, Atom]], dom: frozenset[Atom]):
+    return frozenset((a, b) for a, b in rho if a in dom)
+
+
+# ---------------------------------------------------------------------------
 # Reference for ratlam.coalgebra.orbit_count: the k! renaming search.
 
 
@@ -394,7 +443,7 @@ def _same_orbit_by_search(g: TermGraph, fvs, n1: int, n2: int) -> bool:
     if g.nodes[n1][0] != g.nodes[n2][0]:
         return False
     return any(
-        _bisim_check(g, g, fvs, fvs, set(), n1, n2, frozenset(zip(a1, image)))
+        bisim_check(g, g, fvs, fvs, set(), n1, n2, frozenset(zip(a1, image)))
         for image in itertools.permutations(a2)
     )
 

@@ -77,6 +77,16 @@ def test_compose_worked_example():
 def test_perm_rejects_non_bijections():
     with pytest.raises(ValueError):
         Perm({Atom(0): Atom(1)})  # domain != image
+    with pytest.raises(ValueError):
+        Perm({Atom(0): Atom(2), Atom(1): Atom(2), Atom(2): Atom(0)})  # not injective
+
+
+@given(perms(), perms())
+def test_equal_perms_hash_alike(p, q):
+    assert hash(p.compose(q)) == hash(p.compose(q).inverse().inverse())
+    assert hash(p.compose(p.inverse())) == hash(IDENTITY)
+    assert hash(swap(Atom(0), Atom(1))) == hash(swap(Atom(1), Atom(0)))
+    assert len({p.compose(q), q.inverse().compose(p.inverse()).inverse()}) == 1
 
 
 def test_perm_cycle_printing():

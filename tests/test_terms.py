@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 import sys
@@ -33,11 +34,13 @@ from ratlam import (
     truncate,
 )
 from ratlam import terms
-from ratlam.terms import _bisim_check, _classes, _label_key, _lmap, _set_hash, is_finite
+from ratlam.terms import _classes, _label_key, _lmap, _set_hash, is_finite
 
 from conftest import (
     CORPUS,
+    alpha_bisim_by_fixpoint,
     alpha_eq_finite,
+    bisim_check,
     finite_terms,
     fv_by_walk,
     fv_map_by_rounds,
@@ -45,6 +48,7 @@ from conftest import (
     literal_classes_by_rounds,
     parse_term_by_descent,
     print_graph_by_scan,
+    random_finite_term,
     random_perm,
     random_term_graph,
     reach_by_closure,
@@ -464,7 +468,7 @@ def test_alpha_bisim_computes_each_fv_map_once(monkeypatch):
     g1 = graph_of(parse_term("mu r. \\v0. v0 (v1 #r)"))
     g2 = graph_of(parse_term("mu r. \\v5. v5 (v1 #r)"))
     assert alpha_bisim(g1, g2)
-    assert calls == [g1, g2]
+    assert calls == [g1]
 
 
 def _random_graph(rng: random.Random, n: int) -> TermGraph:
@@ -511,7 +515,110 @@ def test_alpha_bisim_renaming_allows_free_variable_bijection():
     g2 = graph_of(parse_term("mu r. v1 #r"))
     fv1, fv2 = g1.fv_map(), g2.fv_map()
     for rho, want in (({(Atom(0), Atom(1))}, True), ({(Atom(0), Atom(0))}, False)):
-        assert _bisim_check(g1, g2, fv1, fv2, set(), g1.root, g2.root, frozenset(rho)) == want
+        assert bisim_check(g1, g2, fv1, fv2, set(), g1.root, g2.root, frozenset(rho)) == want
+
+
+def _relabeled(rng: random.Random, g: TermGraph, name: dict) -> TermGraph:
+    """g with its node ids shuffled and every atom, binders and leaves alike,
+    renamed through `name`, which need not be injective.  Nodes keep g's
+    insertion order."""
+    ids = list(g.nodes)
+    new = dict(zip(ids, rng.sample(ids, len(ids))))
+    return TermGraph({new[n]: _lmap(l, lambda a: name.get(a, a), new.__getitem__)
+                      for n, l in g.nodes.items()}, new[g.root])
+
+
+def test_alpha_bisim_agrees_with_fixpoint():
+    rng = random.Random(83)
+    atoms = [Atom(i) for i in range(4)]
+    answers = []
+    for _ in range(20_000):
+        g1 = random_term_graph(rng, max_nodes=8)
+        if rng.random() < 0.1:
+            g1 = TermGraph({**g1.nodes, rng.choice(list(g1.nodes)): ("bot",)}, g1.root)
+        if rng.random() < 0.7:
+            g2 = _relabeled(rng, g1, {a: rng.choice(atoms) for a in atoms})
+        else:
+            g2 = random_term_graph(rng, max_nodes=8)
+        for a, b in ((g1, g2), (g2, g1)):
+            want = alpha_bisim_by_fixpoint(a, b)
+            assert alpha_bisim(a, b) == want, (a.nodes, a.root, b.nodes, b.root)
+            answers.append(want)
+    assert 0.2 < sum(answers) / len(answers) < 0.8
+
+
+@pytest.mark.parametrize("s, t, want", [
+    (r"\v0. \v1. v0", r"\v0. \v0. v0", False),  # the inner binder captures v0
+    ("_|_", "_|_", True),
+    ("_|_", "v0", False),
+    # v0 is bound below the λ on the left and free on the right: the pair of
+    # roots is reached again under a different map
+    (r"mu r. v0 (\v0. #r)", r"mu r. v0 (\v1. #r)", False),
+    (r"mu r. \v0. v0 (\v1. #r)", r"mu r. \v2. v2 (\v3. #r)", True),
+])
+def test_alpha_bisim_named_cases(s, t, want):
+    g1, g2 = graph_of(parse_term(s)), graph_of(parse_term(t))
+    for a, b in ((g1, g2), (g2, g1)):
+        assert alpha_bisim(a, b) == alpha_bisim_by_fixpoint(a, b) == want
+
+
+def _holding_bijections(g1: TermGraph, g2: TermGraph, n1: int, n2: int, fv1, fv2) -> list:
+    """The bijections fv(n1) → fv(n2) under which the oracle finds n1 and n2
+    α-equivalent."""
+    dom = sorted(fv1[n1])
+    return [image for image in itertools.permutations(sorted(fv2[n2]))
+            if len(image) == len(dom)
+            and bisim_check(g1, g2, fv1, fv2, set(), n1, n2, frozenset(zip(dom, image)))]
+
+
+def test_a_node_pair_admits_at_most_one_free_name_bijection():
+    # a subtree of a λ-tree has no nontrivial stabilizer, which lets
+    # alpha_bisim keep one map per node pair
+    rng = random.Random(89)
+    cases = []
+    for i in range(400):
+        g1 = random_term_graph(rng, max_nodes=9) if i % 2 else graph_of(random_finite_term(rng))
+        g2 = g1.act(random_perm(rng, range(4))) if rng.random() < 0.7 else random_term_graph(rng)
+        cases.append((g1, g2, g1.reachable()))
+    # every permutation of four names is realized by some subtree of rsigma:3
+    rsigma = gen_rsigma(3)
+    cases.append((rsigma, rsigma, [rsigma.root]))
+    held = {}
+    for g1, g2, starts in cases:
+        fv1, fv2 = g1.fv_map(), g2.fv_map()
+        for n1 in starts:
+            for n2 in g2.reachable():
+                holding = _holding_bijections(g1, g2, n1, n2, fv1, fv2)
+                assert len(holding) <= 1, (g1.nodes, n1, g2.nodes, n2, holding)
+                if holding:
+                    held[len(fv1[n1])] = held.get(len(fv1[n1]), 0) + 1
+    assert held[2] >= 100 and held[3] >= 40 and held[4] >= 24
+
+
+def test_alpha_bisim_has_no_nesting_limit():
+    n, v1, v2 = 10_000, Atom(1), Atom(2)
+    rename = {v1: Atom(3), v2: Atom(4)}
+    # a λ-chain inserted leaves first, as fv_map sweeps a root-first chain
+    # once per node; its leaf is bound by the second λ above it
+    chain = TermGraph({0: ("var", v1), **{i: ("lam", (v2, v1)[i % 2], i - 1) for i in range(1, n)}},
+                      n - 1)
+    wrong_leaf = TermGraph({**chain.nodes, 0: ("var", v2)}, chain.root)
+    # a ring of λs closed by an application whose argument is bound in the ring
+    ring = {n: ("var", v1), n - 1: ("app", n, 0)}
+    ring.update({i: ("lam", (v1, v2)[i % 2], i + 1) for i in reversed(range(n - 1))})
+    ring = TermGraph(ring, 0)
+    rng = random.Random(97)
+    rsigma = gen_rsigma(4)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        assert alpha_bisim(chain, _relabeled(rng, chain, rename))
+        assert not alpha_bisim(chain, _relabeled(rng, wrong_leaf, rename))
+        assert alpha_bisim(ring, _relabeled(rng, ring, rename))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert alpha_bisim(rsigma, _relabeled(rng, rsigma, {}))
+    assert not alpha_bisim(rsigma, rsigma.act(swap(v1, v2)))
 
 
 # ---------------------------------------------------------------------------
