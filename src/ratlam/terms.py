@@ -610,17 +610,13 @@ def _truncate(g: TermGraph, n: int, d: int, memo: dict[tuple[int, int], FiniteTe
 def alpha_bisim(g1: TermGraph, g2: TermGraph) -> bool:
     """True iff the infinite unfoldings of g1 and g2 are α-equivalent.
 
-    Free variables are concrete names, so the search starts at the two roots
-    with the identity on the root's free names, and walks node pairs on an
-    explicit stack, each with a map from g1's names to g2's.  A λ pair maps
-    its binders to each other and fails if a free name of the body already
-    maps to g2's binder (capture); a var pair needs its names to correspond.
-    Every free occurrence in either graph is reached, so these two checks
-    also make the map a bijection onto g2's free names, and only g1's free
-    names are needed.  A subtree of a λ-tree has no nontrivial stabilizer:
-    its free names sit at fixed positions, so at most one map can hold at a
-    node pair.  A pair is therefore visited once, and a second arrival whose
-    map differs on the free names of g1's node is False.
+    Walks node pairs from the roots on an explicit stack, each with a map from
+    g1's free names to g2's, starting from the identity.  A λ pair maps its
+    binders to each other and fails on capture; a var pair needs its names to
+    correspond.  Every free occurrence is reached, so only g1's free names are
+    needed.  A subtree of a λ-tree has no nontrivial stabilizer, so at most
+    one map holds at a node pair: a pair is visited once, and a second map
+    that differs on the node's free names means False.
     """
     fv1, nodes1, nodes2 = g1.fv_map(), g1.nodes, g2.nodes
     seen: dict[tuple[int, int], dict[Atom, Atom]] = {}

@@ -230,6 +230,18 @@ def test_examples_unknown_name():
     assert code == 2
 
 
+def test_examples_bad_rsigma_level(capsys):
+    assert _run(["examples", "rsigma:x"]) == (2, "")
+    assert capsys.readouterr().err == "error: bad rsigma level in 'rsigma:x'\n"
+
+
+def test_unreadable_file(tmp_path, capsys):
+    missing = tmp_path / "missing.lam"
+    assert _run(["parse", str(missing)]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n")
+
+
 def test_bench():
     code, text = _run(["bench", "rsigma", "2"])
     assert code == 0

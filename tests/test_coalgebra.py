@@ -255,6 +255,16 @@ def test_support_too_large():
         c_construct(conc, OrbitElement(o, (Atom(0), Atom(1))))
 
 
+def test_reach_mode_rejects_a_step_target_over_the_support_bound():
+    o, p = OrbitSchema("o", 1), OrbitSchema("p", 2)
+    a, b = Atom(0), Atom(1)
+    wide = OrbitElement(p, (a, b))
+    conc = ConcreteCoalgebra(lambda e: ("app", wide, e) if e.schema is o else ("var", a),
+                             support_bound=1)
+    with pytest.raises(SupportTooLarge, match=r"^element p\(v0,v1\) exceeds the support bound$"):
+        c_construct(conc, OrbitElement(o, (a,)))
+
+
 def test_escapes_carrier():
     # a hand-built step could leave the carrier, so it has no enumerative mode
     o = OrbitSchema("o", 1)
@@ -640,6 +650,8 @@ step pair = app var(1) var(2)
 def test_parse_coalgebra_text():
     sym = parse_coalgebra(PAIR_TEXT)
     assert sym.steps["pair"] == ("app", ("var", (0,)), ("var", (1,)))
+    commented = parse_coalgebra("# a pair of variables\n\n" + PAIR_TEXT.replace("\n", "\n  \n", 1))
+    assert commented.steps == sym.steps and commented.carrier == sym.carrier
     root = parse_root("pair(v0,v1)", sym)
     g = c_construct(instantiate(sym), root, sym.carrier)
     assert len(g.nodes) == 9
@@ -685,6 +697,8 @@ def test_parse_root_reads_atom_names_only():
             parse_root(bad, sym)
     with pytest.raises(InvalidCoalgebra, match="^root element names undeclared orbit 'zz'$"):
         parse_root("zz(v0)", sym)
+    with pytest.raises(InvalidCoalgebra, match="^bad root element: 'pair'$"):
+        parse_root("pair", sym)
 
 
 def test_parse_coalgebra_rejects_garbage():
@@ -694,6 +708,13 @@ def test_parse_coalgebra_rejects_garbage():
         parse_coalgebra("step o = app var(1)\n")
     with pytest.raises(InvalidCoalgebra, match="second step"):
         parse_coalgebra(PAIR_TEXT + "step pair = app var(2) var(1)\n")
+    for step, message in (
+        ("app o() o(1)", "step of 'o': assignment length 0 does not match arity of 'o'"),
+        ("abs 1", "bad abs step: 'step o = abs 1'"),
+        ("abs 1 o(1) o(1)", "bad abs step: 'step o = abs 1 o(1) o(1)'"),
+    ):
+        with pytest.raises(InvalidCoalgebra, match=f"^{re.escape(message)}$"):
+            parse_coalgebra(f"orbit o arity=1 stab=trivial\nstep o = {step}\n")
     # stab is `trivial` or `;`-separated products of cycles over slots 1..arity
     for stab in ("(1 3)", "(0 1)", "(1 2", "foo", "()", "trivial;(1 2)"):
         with pytest.raises(InvalidCoalgebra, match="stab member"):

@@ -98,6 +98,11 @@ def test_kept_fv_is_the_walked_fv(t):
     assert fv(rebuilt(t)) == fv_by_walk(t)
 
 
+def test_fv_of_mu_terms():
+    assert fv(parse_term(r"mu r. \v0. v0 (v1 #r)")) == frozenset({Atom(1)})
+    assert fv(Mu("r", Ref("r"))) == frozenset()
+
+
 def test_deep_terms_hash_and_compare_without_recursion():
     def chain(n: int, leaf: Atom):
         t = Var(leaf)
@@ -328,6 +333,10 @@ def test_print_examples():
     assert print_term(parse_term("v0 (v1 v2)")) == "v0 (v1 v2)"
     assert print_term(parse_term("v0 v1 v2")) == "v0 v1 v2"
     assert print_term(BOT) == "_|_"
+    assert str(parse_term(r"\x. x v1")) == r"\v0. v0 v1"
+    g = graph_of(parse_term(r"mu r. v0 (\v1. #r)"))
+    assert str(g) == r"mu r0. v0 (\v1. #r0)"
+    assert repr(g) == r"TermGraph<mu r0. v0 (\v1. #r0)>"
 
 
 def test_print_graph_roundtrip():
@@ -406,6 +415,8 @@ def test_truncate_examples():
         Var(Atom(0)), App(BOT, BOT)
     )
     assert truncate(graph_of(Var(Atom(0))), 5) == Var(Atom(0))
+    reaches_bot = TermGraph({0: ("app", 1, 2), 1: ("bot",), 2: ("var", Atom(0))}, 0)
+    assert truncate(reaches_bot, 3) == App(BOT, Var(Atom(0)))
 
 
 def test_truncate_coherence():
@@ -598,8 +609,8 @@ def test_a_node_pair_admits_at_most_one_free_name_bijection():
 def test_alpha_bisim_has_no_nesting_limit():
     n, v1, v2 = 10_000, Atom(1), Atom(2)
     rename = {v1: Atom(3), v2: Atom(4)}
-    # a λ-chain inserted leaves first, as fv_map sweeps a root-first chain
-    # once per node; its leaf is bound by the second λ above it
+    # a λ-chain inserted leaves first, since fv_map needs a sweep per node on
+    # a chain inserted root first; its leaf is bound by the λ right above it
     chain = TermGraph({0: ("var", v1), **{i: ("lam", (v2, v1)[i % 2], i - 1) for i in range(1, n)}},
                       n - 1)
     wrong_leaf = TermGraph({**chain.nodes, 0: ("var", v2)}, chain.root)
