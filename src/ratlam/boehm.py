@@ -1,8 +1,9 @@
 """Fuel-bounded head reduction, Böhm-tree prefixes and rationality detection.
 
-Whether a term has a head normal form is only semi-decidable, so every
-operation here takes an explicit budget; running out of fuel is a value
-(⊥ / unknown), never an error.
+A Böhm-tree prefix is `truncate` of the Böhm tree, which head reduction
+yields one constructor at a time.  Whether a term has a head normal form is
+only semi-decidable, so every operation takes an explicit budget; running
+out of fuel is a value (⊥ / unknown), never an error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .nominal import Atom, fresh_atom
 from .substitution import subst_finite
-from .terms import BOT, App, Bot, FiniteTerm, Lam, TermGraph, Var, fv
+from .terms import App, Bot, FiniteTerm, Lam, TermGraph, Var, _truncate, fv
 
 
 @dataclass(frozen=True)
@@ -85,35 +86,28 @@ def head_reduce(t: FiniteTerm, fuel: int) -> HnfDecomposition | BottomVerdict:
 
 
 def bt_truncate(t: FiniteTerm, budget: BtBudget) -> FiniteTerm:
-    """Depth-bounded prefix of the Böhm tree; ⊥ marks cuts and dead ends.
-
-    Depth is tree depth of the emitted prefix, so the result agrees with
-    `truncate` applied to the full Böhm tree at the same depth.
-    """
-    return _bt_prefix(t, 0, budget)
+    """Depth-bounded prefix of the Böhm tree, ⊥ at cuts and dead ends: the
+    `truncate` of the Böhm tree, read one constructor at a time by `_bt_step`."""
+    return _truncate(lambda s: _bt_step(s, budget.fuel), t, budget.depth, {})
 
 
-def _bt_prefix(term: FiniteTerm, cur: int, budget: BtBudget) -> FiniteTerm:
-    d = budget.depth
-    if cur >= d:
-        return BOT
-    res = head_reduce(term, budget.fuel)
-    if isinstance(res, BottomVerdict):
-        return BOT
-    n, m = len(res.binders), len(res.args)
-    out: FiniteTerm = Var(res.head) if cur + n + m < d else BOT
-    for i, arg in enumerate(res.args):
-        app_depth = cur + n + m - 1 - i
-        if app_depth >= d:
-            out = BOT
-        else:
-            out = App(out, _bt_prefix(arg, app_depth + 1, budget))
-    for j in range(n - 1, -1, -1):
-        if cur + j >= d:
-            out = BOT
-        else:
-            out = Lam(res.binders[j], out)
-    return out
+def _bt_step(state, fuel: int) -> tuple:
+    """One constructor of the Böhm tree, as a graph label whose children are
+    states.  A state is a term, head-reduced with the whole fuel (⊥ if it has
+    no head normal form within it), or (h, k): the k-th constructor of the
+    head normal form h = λx1…λxn. y N1…Nm, counted from the outside."""
+    if not isinstance(state, tuple):
+        h = head_reduce(state, fuel)
+        if isinstance(h, BottomVerdict):
+            return ("bot",)
+        state = h, 0
+    h, k = state
+    n, m = len(h.binders), len(h.args)
+    if k < n:
+        return ("lam", h.binders[k], (h, k + 1))
+    if k < n + m:
+        return ("app", (h, k + 1), h.args[n + m - 1 - k])
+    return ("var", h.head)
 
 
 def _canonicalize(t: FiniteTerm) -> FiniteTerm:

@@ -581,24 +581,25 @@ def truncate(g: TermGraph, depth: int) -> FiniteTerm:
 
     The root sits at depth 0, so truncate(·, 0) is ⊥.
     """
-    return _truncate(g, g.root, depth, {})
+    return _truncate(g.nodes.__getitem__, g.root, depth, {})
 
 
-def _truncate(g: TermGraph, n: int, d: int, memo: dict[tuple[int, int], FiniteTerm]) -> FiniteTerm:
+def _truncate(label: Callable[..., tuple], n, d: int, memo: dict) -> FiniteTerm:
+    """Cut the tree from state n at depth d; `label` gives a state's node, its children states."""
     if d <= 0:
         return BOT
     key = (n, d)
     if key in memo:
         return memo[key]
-    match g.nodes[n]:
+    match label(n):
         case ("var", a):
             out: FiniteTerm = Var(a)
         case ("bot",):
             out = BOT
         case ("lam", x, b):
-            out = Lam(x, _truncate(g, b, d - 1, memo))
+            out = Lam(x, _truncate(label, b, d - 1, memo))
         case ("app", f, a):
-            out = App(_truncate(g, f, d - 1, memo), _truncate(g, a, d - 1, memo))
+            out = App(_truncate(label, f, d - 1, memo), _truncate(label, a, d - 1, memo))
     memo[key] = out
     return out
 

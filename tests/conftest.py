@@ -4,7 +4,6 @@ import itertools
 import random
 from collections import deque
 
-import pytest
 from hypothesis import strategies as st
 
 from ratlam import (
@@ -12,6 +11,7 @@ from ratlam import (
     Atom,
     BOT,
     Bot,
+    BottomVerdict,
     ConcreteCoalgebra,
     EscapesCarrier,
     FRESH,
@@ -34,8 +34,7 @@ from ratlam import (
     abstraction_eq,
     enumerate_support_in,
     fresh_atoms,
-    graph_of,
-    parse_term,
+    head_reduce,
     print_term,
     swap,
 )
@@ -91,11 +90,6 @@ CORPUS = [
     "mu r. v2 (v2 (v2 #r))",
     "\\v0. (\\v1. v0 v1) v2",
 ]
-
-
-@pytest.fixture(scope="session")
-def corpus_graphs():
-    return [graph_of(parse_term(src)) for src in CORPUS]
 
 
 def random_perm(rng: random.Random, indices=range(8)) -> Perm:
@@ -225,10 +219,6 @@ def glued(g: TermGraph) -> TermGraph:
                 nodes[n + off] = label
     nodes[2 * off] = ("app", g.root, g.root + off)
     return TermGraph(nodes, 2 * off)
-
-
-def graph_eq_literal(g1: TermGraph, g2: TermGraph) -> bool:
-    return g1.nodes == g2.nodes and g1.root == g2.root
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +644,33 @@ def c_construct_by_elements(conc: ConcreteCoalgebra, root, carrier: OrbitSet) ->
         nodes[ids[e]] = _lmap(step, child=node_id)
 
     return TermGraph(nodes, ids[root])
+
+
+# ---------------------------------------------------------------------------
+# Reference for ratlam.boehm.bt_truncate: one head reduction per argument, the
+# depth of every constructor of the head normal form counted from its spine.
+
+
+def bt_truncate_by_spine(term: FiniteTerm, fuel: int, depth: int, cur: int = 0) -> FiniteTerm:
+    if cur >= depth:
+        return BOT
+    res = head_reduce(term, fuel)
+    if isinstance(res, BottomVerdict):
+        return BOT
+    n, m = len(res.binders), len(res.args)
+    out: FiniteTerm = Var(res.head) if cur + n + m < depth else BOT
+    for i, arg in enumerate(res.args):
+        app_depth = cur + n + m - 1 - i
+        if app_depth >= depth:
+            out = BOT
+        else:
+            out = App(out, bt_truncate_by_spine(arg, fuel, depth, app_depth + 1))
+    for j in range(n - 1, -1, -1):
+        if cur + j >= depth:
+            out = BOT
+        else:
+            out = Lam(res.binders[j], out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,13 @@ from ratlam import (
     head_reduce,
     parse_term,
     print_graph,
+    print_term,
     truncate,
 )
 from ratlam import boehm
 from ratlam.boehm import _canonicalize, _spine, _unspine
 
-from conftest import alpha_eq_finite, finite_terms, random_finite_term
+from conftest import alpha_eq_finite, bt_truncate_by_spine, finite_terms, random_finite_term
 
 # ---------------------------------------------------------------------------
 # Head reduction
@@ -114,6 +115,17 @@ def test_bt_truncate_of_s():
     assert alpha_eq_finite(got4, parse_term(r"\v1. \v2. (_|_ _|_) v2"))
     got5 = bt_truncate(gen_s(), BtBudget(depth=5))
     assert alpha_eq_finite(got5, parse_term(r"\v1. \v2. (v1 (\v1. _|_)) v2"))
+
+
+def test_bt_truncate_agrees_with_spine_oracle():
+    rng = random.Random(20)
+    terms = [random_finite_term(rng, 5) for _ in range(300)]
+    terms += [gen_s(), App(gen_u(), Var(Atom(3))), gen_omega()]
+    for t in terms:
+        for depth in (1, 2, 3, 5, 8, 10):
+            for fuel in (1, 4, 16, 64):
+                got = bt_truncate(t, BtBudget(fuel=fuel, depth=depth))
+                assert print_term(got) == print_term(bt_truncate_by_spine(t, fuel, depth)), (t, depth, fuel)
 
 
 def test_bt_truncate_is_deterministic():

@@ -478,6 +478,8 @@ def test_coalgebra_calls_leave_no_reference_cycles(call):
 def test_rsigma_rejects_bad_levels():
     with pytest.raises(ValueError):
         gen_rsigma(0)
+    with pytest.raises(ValueError, match="levels must be >= 1"):
+        rsigma_count(0)
     with pytest.raises(ValueError):
         gen_rsigma(5)
 

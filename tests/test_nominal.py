@@ -92,6 +92,7 @@ def test_equal_perms_hash_alike(p, q):
 def test_perm_cycle_printing():
     p = Perm({Atom(0): Atom(1), Atom(1): Atom(0), Atom(2): Atom(3), Atom(3): Atom(2)})
     assert str(p) == "(v0 v1)(v2 v3)"
+    assert repr(p) == "Perm<(v0 v1)(v2 v3)>"
     assert str(IDENTITY) == "id"
 
 

@@ -76,6 +76,7 @@ def test_elem_eq_examples():
     )
     e = OrbitElement(ordered, (Atom(3), Atom(5)))
     assert e == e
+    assert repr(OrbitElement(OrbitSchema("pair", 2), (Atom(0), Atom(1)))) == "OrbitElement<pair(v0,v1)>"
     # different schemas never compare equal
     assert OrbitElement(ordered, (Atom(0), Atom(1))) != OrbitElement(
         OrbitSchema("o2", 2), (Atom(0), Atom(1))

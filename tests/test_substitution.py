@@ -105,14 +105,23 @@ def test_subst_rational_avoids_capture():
     assert alpha_bisim(out, graph_of(parse_term("\\v1. v0 v1")))
 
 
-def test_subst_rational_commutation_hand_cases():
+def test_subst_rational_commutation_hand_cases(monkeypatch):
+    # the last three reach InTriple.act: a λ step's binder lies outside
+    # c_construct's name pool, so the body is renamed into the pool
+    acts = []
+    act = InTriple.act
+    monkeypatch.setattr(InTriple, "act", lambda self, p: acts.append(p) or act(self, p))
     cases = [
         ("mu r. v0 #r", Atom(0), "v1"),
         ("\\v0. v2 v0", Atom(2), "v0"),
         ("mu r. \\v0. v0 (v1 #r)", Atom(1), "\\v0. v0 v0"),
+        ("(\\v2. \\v1. v2) (\\v0. v0) v9", Atom(8), "\\v0. v3"),
+        ("v2 (\\v3. \\v2. \\v1. v3)", Atom(8), "v3"),
+        ("(\\v2. \\v1. v7 v7) ((\\v0. \\v2. v0) v9)", Atom(8), "\\v0. v2"),
     ]
     for t_src, v, s_src in cases:
         assert _commutes(graph_of(parse_term(t_src)), v, graph_of(parse_term(s_src)))
+    assert acts
 
 
 def test_subst_rational_commutation_random():
