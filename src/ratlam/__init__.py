@@ -58,7 +58,7 @@ from .coalgebra import (
     rsigma_count,
     size_bound,
 )
-from .substitution import InTriple, subst_finite, subst_rational
+from .substitution import subst_finite, subst_rational
 from .boehm import (
     BottomVerdict,
     BtBudget,

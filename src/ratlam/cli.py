@@ -109,7 +109,9 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha-eq", help="α-equivalence of two (possibly infinite) terms")
     p.add_argument("term1")
     p.add_argument("term2")
-    p = sub.add_parser("subtrees", help="count distinct subtrees of the unfolding")
+    about = ("count the distinct literal subtrees of the unfolding as written "
+             "(α-variants count separately)")
+    p = sub.add_parser("subtrees", help=about, description=about)
     p.add_argument("term")
     p = sub.add_parser("subst", help="substitute: TERM1[ATOM := TERM2]")
     p.add_argument("-v", "--var", required=True)
@@ -148,13 +150,13 @@ def run(argv, out=None) -> int:
     try:
         match args.command:
             case "parse":
-                t = _parse(_read_source(args.source), interner)
+                text = print_term(_parse(_read_source(args.source), interner))
                 _intern_header(interner, out)
-                print(print_term(t), file=out)
+                print(text, file=out)
             case "print":
-                t = _parse(args.term, interner)
+                text = print_term(_parse(args.term, interner))
                 _intern_header(interner, out)
-                print(print_term(t), file=out)
+                print(text, file=out)
             case "truncate":
                 g = _graph(args.term, interner)
                 print(print_term(truncate(g, args.depth)), file=out)
@@ -203,6 +205,11 @@ def run(argv, out=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except RecursionError:
+        # each command prints only once its result is complete, so out is untouched
+        print("error: the term is nested too deeply for this command "
+              "(recursion limit reached)", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -1,18 +1,15 @@
 """Capture-avoiding substitution: finite oracle and corecursive rational version.
 
-The rational version runs the substitution coalgebra on states that are
-either an element of the replacement coalgebra, or a triple (element being
-rewritten, variable marker, replacement element), and materializes the
-behavior of the root triple with the finite construction in reachable mode.
+A term graph is a coalgebra on pairs of a node and the images of its free
+names.  The rational version unfolds t[v := s] over these states of t and s
+on one worklist, each reached state a node of the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .nominal import Atom, Perm, fresh_atom, swap
-from .coalgebra import ConcreteCoalgebra, c_construct, graph_to_coalgebra, instantiate
-from .terms import App, Bot, FiniteTerm, Lam, TermGraph, Var, fv
+from .nominal import Atom, fresh_atom, fresh_atoms, swap
+from .coalgebra import _free_orders
+from .terms import App, Bot, FiniteTerm, Lam, TermGraph, Var, _lmap, fv
 
 
 # ---------------------------------------------------------------------------
@@ -45,51 +42,47 @@ def subst_finite(t: FiniteTerm, v: Atom, s: FiniteTerm) -> FiniteTerm:
 
 
 # ---------------------------------------------------------------------------
-# Substitution states
-
-
-@dataclass(frozen=True)
-class InTriple:
-    elem: object
-    marker: Atom
-    repl: object
-
-    def support(self) -> frozenset[Atom]:
-        return self.elem.support() | {self.marker} | self.repl.support()
-
-    def act(self, p: Perm) -> "InTriple":
-        return InTriple(self.elem.act(p), p(self.marker), self.repl.act(p))
-
-
-def subst_coalgebra(a: ConcreteCoalgebra, b: ConcreteCoalgebra) -> ConcreteCoalgebra:
-    """The coalgebra on B + A×V×B whose behavior is substitution.
-
-    The B summand is B's own elements, with B's own steps; every other state
-    is an `InTriple`.
-    """
-
-    def step_fn(state):
-        if not isinstance(state, InTriple):
-            return b.step_fn(state)
-        x, w, y = state.elem, state.marker, state.repl
-        match step := a.step_fn(x):
-            case ("var", u):
-                return b.step_fn(y) if u == w else step
-            case ("lam", u, x2):
-                # rename the abstraction representative away from the
-                # marker and the replacement before pairing (strength)
-                u2 = fresh_atom({w} | y.support() | x.support())
-                return ("lam", u2, InTriple(x2.act(swap(u, u2)), w, y))
-            case ("app", x1, x2):
-                return ("app", InTriple(x1, w, y), InTriple(x2, w, y))
-        raise TypeError(f"step of {x!r} is not a λ-tree label: {step!r}")
-
-    return ConcreteCoalgebra(step_fn, a.support_bound + 1 + b.support_bound)
+# Rational terms
 
 
 def subst_rational(t: TermGraph, v: Atom, s: TermGraph) -> TermGraph:
-    """Substitution on rational trees via the corecursive construction."""
-    sym_a, root_a = graph_to_coalgebra(t)
-    sym_b, root_b = graph_to_coalgebra(s)
-    conc = subst_coalgebra(instantiate(sym_a), instantiate(sym_b))
-    return c_construct(conc, InTriple(root_a, v, root_b))
+    """t[v := s] on rational trees, as one unfold over graph states.
+
+    A state is (input, node, the images of the node's free names in
+    `_free_orders` order), input 0 being t and 1 being s; t's root state maps
+    fv(t) to itself.  A state's support is its images, and for a t-state
+    also v and fv(s).  A λ binds the least name of the pool W outside its
+    state's support, where W is fv(t) ∪ {v} ∪ fv(s) padded with least fresh
+    atoms to m+1 names and m bounds every support.  A t-var whose image is v
+    takes the label of s's root with fv(s) mapped to itself, its λ binder
+    still chosen for the t-state.  States are numbered breadth first.  A ⊥
+    reachable in either input is a `ValueError`.
+    """
+    graphs, orders = (t, s), (_free_orders(t), _free_orders(s))
+    if any(g.nodes[n] == ("bot",) for g, order in zip(graphs, orders) for n in order):
+        raise ValueError("⊥ nodes have no step in the λ-tree functor")
+    fv_s = orders[1][s.root]
+    live = frozenset(orders[0][t.root]).union((v,), fv_s)
+    m = max(map(len, orders[0].values())) + 1 + max(map(len, orders[1].values()))
+    pool = sorted(live.union(fresh_atoms(live, m + 1 - len(live))))
+    ids: dict[tuple, int] = {}
+    states: list[tuple] = []
+
+    def node_id(side: int, n: int, env: dict) -> int:
+        state = (side, n, tuple([env[a] for a in orders[side][n]]))
+        if (i := ids.get(state)) is None:
+            i = ids[state] = len(states)
+            states.append(state)
+        return i
+
+    node_id(0, t.root, {a: a for a in orders[0][t.root]})
+    labels = []
+    for side, n, images in states:  # read while it grows: a breadth-first queue
+        label, env = graphs[side].nodes[n], dict(zip(orders[side][n], images))
+        support = (*images, v, *fv_s) if side == 0 else images
+        if side == 0 and label[0] == "var" and env[label[1]] == v:
+            side, label, env = 1, s.nodes[s.root], dict(zip(fv_s, fv_s))
+        if label[0] == "lam":
+            env[label[1]] = next(a for a in pool if a not in support)
+        labels.append(_lmap(label, env.__getitem__, lambda c: node_id(side, c, env)))
+    return TermGraph(dict(enumerate(labels)), 0)

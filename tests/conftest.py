@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import deque
+from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
@@ -32,9 +33,13 @@ from ratlam import (
     UnguardedMu,
     Var,
     abstraction_eq,
+    c_construct,
     enumerate_support_in,
+    fresh_atom,
     fresh_atoms,
+    graph_to_coalgebra,
     head_reduce,
+    instantiate,
     print_term,
     swap,
 )
@@ -644,6 +649,83 @@ def c_construct_by_elements(conc: ConcreteCoalgebra, root, carrier: OrbitSet) ->
         nodes[ids[e]] = _lmap(step, child=node_id)
 
     return TermGraph(nodes, ids[root])
+
+
+# ---------------------------------------------------------------------------
+# Reference for ratlam.subst_rational: the substitution coalgebra on B + A×V×B
+# over the coalgebras of the two graphs, materialized by the reachable
+# c_construct.
+
+
+@dataclass(frozen=True)
+class InTriple:
+    """A state of the A×V×B summand: the element being rewritten, the
+    variable marker and the replacement element."""
+
+    elem: object
+    marker: Atom
+    repl: object
+
+    def support(self) -> frozenset[Atom]:
+        return self.elem.support() | {self.marker} | self.repl.support()
+
+    def act(self, p: Perm) -> "InTriple":
+        return InTriple(self.elem.act(p), p(self.marker), self.repl.act(p))
+
+
+def subst_coalgebra(a: ConcreteCoalgebra, b: ConcreteCoalgebra) -> ConcreteCoalgebra:
+    """The coalgebra on B + A×V×B whose behavior is substitution.
+
+    The B summand is B's own elements, with B's own steps; every other state
+    is an `InTriple`.
+    """
+
+    def step_fn(state):
+        if not isinstance(state, InTriple):
+            return b.step_fn(state)
+        x, w, y = state.elem, state.marker, state.repl
+        match step := a.step_fn(x):
+            case ("var", u):
+                return b.step_fn(y) if u == w else step
+            case ("lam", u, x2):
+                # rename the abstraction representative away from the
+                # marker and the replacement before pairing (strength)
+                u2 = fresh_atom({w} | y.support() | x.support())
+                return ("lam", u2, InTriple(x2.act(swap(u, u2)), w, y))
+            case ("app", x1, x2):
+                return ("app", InTriple(x1, w, y), InTriple(x2, w, y))
+        raise TypeError(f"step of {x!r} is not a λ-tree label: {step!r}")
+
+    return ConcreteCoalgebra(step_fn, a.support_bound + 1 + b.support_bound)
+
+
+def padded(sym: SymbolicCoalgebra, arity: int) -> SymbolicCoalgebra:
+    """sym with one more orbit, unreachable, of the given arity: a larger
+    carrier that raises the support bound when the arity is the largest."""
+    extra = OrbitSchema("pad", arity)
+    return SymbolicCoalgebra(
+        OrbitSet(sym.carrier.schemas + (extra,)),
+        {**sym.steps, "pad": ("var", 0)},
+    )
+
+
+def substitution_states(t: TermGraph, v: Atom, s: TermGraph, pad_a: int = 0, pad_b: int = 0):
+    """The substitution coalgebra of t and s, each coalgebra padded with an
+    unreachable orbit of arity pad_a or pad_b when that is nonzero, and its
+    root state."""
+    sym_a, root_a = graph_to_coalgebra(t)
+    sym_b, root_b = graph_to_coalgebra(s)
+    if pad_a:
+        sym_a = padded(sym_a, pad_a)
+    if pad_b:
+        sym_b = padded(sym_b, pad_b)
+    return subst_coalgebra(instantiate(sym_a), instantiate(sym_b)), InTriple(root_a, v, root_b)
+
+
+def subst_by_coalgebra(t: TermGraph, v: Atom, s: TermGraph, pad_a: int = 0,
+                       pad_b: int = 0) -> TermGraph:
+    """t[v := s] as the reachable c_construct of the substitution coalgebra."""
+    return c_construct(*substitution_states(t, v, s, pad_a, pad_b))
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,13 @@ def test_subtrees():
     assert text == "3\n"
 
 
+def test_subtrees_counts_alpha_variants_separately(capsys):
+    assert _run(["subtrees", r"(\v0. v0) (\v1. v1)"]) == (0, "5\n")
+    assert _run(["subtrees", r"(\v0. v0) (\v0. v0)"]) == (0, "3\n")
+    assert _run(["subtrees", "--help"]) == (0, "")
+    assert "literal subtrees" in capsys.readouterr().out
+
+
 def test_subst():
     code, text = _run(["subst", "-v", "v0", "mu r. v0 #r", "v1"])
     assert code == 0
@@ -288,6 +295,24 @@ def test_bt_graph_deep_lambda_chain():
     code, text = _run(["bt-graph", "\\v1. " * n + "v0"])
     assert code == 0
     assert text == "".join(f"\\v{i}. " for i in range(1, n + 1)) + "v0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["truncate", "-d", "1000", "mu r. \\v0. #r"],
+    ["print", "\\x. " * 300 + "x"],  # no name-interning header either
+])
+def test_recursion_wall_is_one_error_line(argv, capsys):
+    # truncation and printing still recurse once per level; the CLI reports
+    # the wall instead of a traceback, and prints nothing on stdout
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        got = _run(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == (2, "")
+    assert capsys.readouterr().err == (
+        "error: the term is nested too deeply for this command (recursion limit reached)\n")
 
 
 def test_outputs_are_deterministic():

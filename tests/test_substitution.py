@@ -1,31 +1,36 @@
+import ast
 import random
+from pathlib import Path
+
+import pytest
 
 from ratlam import (
     Atom,
-    InTriple,
     Lam,
     Var,
     alpha_bisim,
     c_construct,
+    gen_rsigma,
     graph_of,
-    graph_to_coalgebra,
-    instantiate,
     parse_term,
+    print_graph,
     size_bound,
     subst_finite,
     subst_rational,
     truncate,
 )
-from ratlam.coalgebra import (
-    OrbitElement,
-    OrbitSchema,
-    OrbitSet,
-    SymbolicCoalgebra,
-)
-from ratlam.substitution import subst_coalgebra
+from ratlam.coalgebra import OrbitElement
 from ratlam.terms import _children
 
-from conftest import alpha_eq_finite, random_perm, random_term_graph
+from conftest import (
+    CORPUS,
+    InTriple,
+    alpha_eq_finite,
+    random_perm,
+    random_term_graph,
+    subst_by_coalgebra,
+    substitution_states,
+)
 
 # ---------------------------------------------------------------------------
 # Finite substitution (the oracle itself)
@@ -106,8 +111,8 @@ def test_subst_rational_avoids_capture():
 
 
 def test_subst_rational_commutation_hand_cases(monkeypatch):
-    # the last three reach InTriple.act: a λ step's binder lies outside
-    # c_construct's name pool, so the body is renamed into the pool
+    # on the oracle, the last three reach InTriple.act: a λ step's binder
+    # lies outside c_construct's name pool, so the body is renamed into it
     acts = []
     act = InTriple.act
     monkeypatch.setattr(InTriple, "act", lambda self, p: acts.append(p) or act(self, p))
@@ -120,7 +125,9 @@ def test_subst_rational_commutation_hand_cases(monkeypatch):
         ("(\\v2. \\v1. v7 v7) ((\\v0. \\v2. v0) v9)", Atom(8), "\\v0. v2"),
     ]
     for t_src, v, s_src in cases:
-        assert _commutes(graph_of(parse_term(t_src)), v, graph_of(parse_term(s_src)))
+        t, s = graph_of(parse_term(t_src)), graph_of(parse_term(s_src))
+        assert _commutes(t, v, s)
+        assert print_graph(subst_rational(t, v, s)) == print_graph(subst_by_coalgebra(t, v, s))
     assert acts
 
 
@@ -152,27 +159,63 @@ def test_subst_rational_equivariance():
 
 
 # ---------------------------------------------------------------------------
+# Agreement with the substitution coalgebra
+
+
+def _capture_cases():
+    """The benchmark's capture triples, read from perfbench/workloads.py
+    without importing it."""
+    source = (Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CAPTURE_CASES"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/workloads.py defines no CAPTURE_CASES")
+
+
+def _oracle_triples():
+    rng = random.Random(83)
+    for _ in range(2_000):
+        t = random_term_graph(rng, rng.randint(1, 14), rng.randint(2, 6))
+        s = random_term_graph(rng, rng.randint(1, 6), rng.randint(2, 6))
+        yield t, Atom(rng.randrange(5)), s
+    graphs = [graph_of(parse_term(src)) for src in CORPUS]
+    for i, t in enumerate(graphs):
+        for s in graphs:
+            yield t, Atom(i % 3), s
+    for t_src, v, s_src in _capture_cases():
+        yield graph_of(parse_term(t_src)), Atom(v), graph_of(parse_term(s_src))
+
+
+def test_subst_rational_prints_as_the_coalgebra_oracle():
+    count, mismatches = 0, []
+    for t, v, s in _oracle_triples():
+        count += 1
+        got, want = print_graph(subst_rational(t, v, s)), print_graph(subst_by_coalgebra(t, v, s))
+        if got != want:
+            mismatches.append((print_graph(t), v, print_graph(s), got, want))
+    assert count == 2_000 + len(CORPUS) ** 2 + len(_capture_cases())
+    assert not mismatches, mismatches[:3]
+
+
+def test_subst_rational_on_rsigma_3_is_the_coalgebra_oracle():
+    t, v, s = gen_rsigma(3), Atom(1), graph_of(parse_term("\\v0. v0 v9"))
+    out, want = subst_rational(t, v, s), subst_by_coalgebra(t, v, s)
+    assert alpha_bisim(out, want)
+    assert out.nodes == want.nodes and out.root == want.root
+
+
+@pytest.mark.parametrize("t_src, s_src", [("v0 _|_", "v1"), ("v1", "\\v0. _|_"),
+                                          ("\\v2. v2", "mu r. _|_ #r")])
+def test_subst_rational_rejects_reachable_bottom(t_src, s_src):
+    # a ⊥ in s is refused even where v is not free in t, as by the oracle
+    t, s = graph_of(parse_term(t_src)), graph_of(parse_term(s_src))
+    for subst in (subst_rational, subst_by_coalgebra):
+        with pytest.raises(ValueError, match="⊥"):
+            subst(t, Atom(0), s)
+
+
+# ---------------------------------------------------------------------------
 # Carrier-choice independence
-
-
-def _pad(sym: SymbolicCoalgebra, arity: int) -> SymbolicCoalgebra:
-    """Add an unreachable extra orbit (raising the arity maximum)."""
-    extra = OrbitSchema("pad", arity)
-    return SymbolicCoalgebra(
-        OrbitSet(sym.carrier.schemas + (extra,)),
-        {**sym.steps, "pad": ("var", 0)},
-    )
-
-
-def _subst_with_padding(t, v, s, pad_a=0, pad_b=0):
-    sym_a, root_a = graph_to_coalgebra(t)
-    sym_b, root_b = graph_to_coalgebra(s)
-    if pad_a:
-        sym_a = _pad(sym_a, pad_a)
-    if pad_b:
-        sym_b = _pad(sym_b, pad_b)
-    conc = subst_coalgebra(instantiate(sym_a), instantiate(sym_b))
-    return c_construct(conc, InTriple(root_a, v, root_b))
 
 
 def test_carrier_choice_independence():
@@ -181,7 +224,7 @@ def test_carrier_choice_independence():
     v = Atom(1)
     base = subst_rational(t, v, s)
     for pad_a, pad_b in [(1, 0), (0, 1), (2, 0), (0, 3), (3, 2)]:
-        assert alpha_bisim(base, _subst_with_padding(t, v, s, pad_a, pad_b))
+        assert alpha_bisim(base, subst_by_coalgebra(t, v, s, pad_a, pad_b))
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +252,7 @@ def test_output_size_within_orbit_bound():
     ]
     for t_src, v, s_src in cases:
         t, s = graph_of(parse_term(t_src)), graph_of(parse_term(s_src))
-        sym_a, root_a = graph_to_coalgebra(t)
-        sym_b, root_b = graph_to_coalgebra(s)
-        conc = subst_coalgebra(instantiate(sym_a), instantiate(sym_b))
-        root = InTriple(root_a, v, root_b)
+        conc, root = substitution_states(t, v, s)
         # walk the raw state space and count its orbits
         seen = {root}
         stack = [root]
