@@ -109,8 +109,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha-eq", help="α-equivalence of two (possibly infinite) terms")
     p.add_argument("term1")
     p.add_argument("term2")
-    about = ("count the distinct literal subtrees of the unfolding as written "
-             "(α-variants count separately)")
+    about = "count the literal subtrees of the unfolding as written (α-variants count apart)"
     p = sub.add_parser("subtrees", help=about, description=about)
     p.add_argument("term")
     p = sub.add_parser("subst", help="substitute: TERM1[ATOM := TERM2]")
@@ -205,10 +204,8 @@ def run(argv, out=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except RecursionError:
-        # each command prints only once its result is complete, so out is untouched
-        print("error: the term is nested too deeply for this command "
-              "(recursion limit reached)", file=sys.stderr)
+    except RecursionError:  # each command prints only once its result is complete
+        print("error: term nested too deeply (recursion limit reached)", file=sys.stderr)
         return 2
     return 0
 

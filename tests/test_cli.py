@@ -311,8 +311,7 @@ def test_recursion_wall_is_one_error_line(argv, capsys):
     finally:
         sys.setrecursionlimit(limit)
     assert got == (2, "")
-    assert capsys.readouterr().err == (
-        "error: the term is nested too deeply for this command (recursion limit reached)\n")
+    assert capsys.readouterr().err == "error: term nested too deeply (recursion limit reached)\n"
 
 
 def test_outputs_are_deterministic():
