@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .nominal import Atom, fresh_atom
 from .substitution import subst_finite
@@ -19,11 +19,20 @@ from .terms import App, Bot, FiniteTerm, Lam, TermGraph, Var, _truncate, fv
 
 @dataclass(frozen=True)
 class HnfDecomposition:
-    """λx1…λxn. y N1 … Nm, split into binders, head variable and arguments."""
+    """λx1…λxn. y N1 … Nm, split into binders, head variable and arguments.
+
+    The hash is the dataclass's, kept the first time it is asked: a
+    Böhm-tree prefix hashes the same decomposition once per constructor."""
 
     binders: tuple[Atom, ...]
     head: Atom
     args: tuple[FiniteTerm, ...]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.binders, self.head, self.args)))
+        return self._hash
 
     def term(self) -> FiniteTerm:
         return _unspine(self.binders, Var(self.head), self.args)

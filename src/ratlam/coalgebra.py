@@ -1,25 +1,25 @@
 """Orbit-finite coalgebras for the λ-tree functor and the finite construction.
 
 A symbolic coalgebra gives the structure map schema-wise: each orbit gets a
-step view, a λ-tree label over its slots.  Instantiating yields a concrete
-coalgebra on elements, whose step is a term-graph label with carrier elements
-in place of node ids: `("var", a)`, `("lam", v, elem)` or `("app", l, r)`.
-`c_construct` restricts it to elements supported inside a name pool of size
-m+1, producing a finite term graph that unfolds to the represented rational
-λ-tree.
+step view, a λ-tree label over its slots, read once into a function of an
+atom tuple whose children are keys `(schema id, canonical atom tuple)`.
+`c_construct` walks these keys over a name pool of size m+1, producing a
+finite term graph that unfolds to the represented rational λ-tree.
+Instantiating wraps the keys as elements, for a concrete coalgebra whose
+step is a term-graph label with elements in place of node ids:
+`("var", a)`, `("lam", v, elem)` or `("app", l, r)`.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from math import factorial
 from operator import itemgetter
 from typing import Callable
 
-from .nominal import Atom, abstraction_eq, fresh_atom, fresh_atoms, swap
+from .nominal import Atom, fresh_atom, fresh_atoms
 from .orbits import (
     OrbitElement,
     OrbitSchema,
@@ -45,7 +45,7 @@ class SymbolicCoalgebra:
     target, a slot of the orbit, or FRESH for the λ's binder.
 
     The steps are checked when the coalgebra is built, and each orbit's step
-    function is kept for `instantiate`.
+    function is kept for `instantiate` and `c_construct`.
     """
 
     carrier: OrbitSet
@@ -62,7 +62,9 @@ class ConcreteCoalgebra:
 
     A step is a term-graph label with elements where a graph has node ids:
     `("var", a)`, `("lam", v, elem)` or `("app", l, r)`.  `origin` is the
-    symbolic coalgebra `instantiate` built it from, if any.
+    symbolic coalgebra `instantiate` built it from, if any; `c_construct`
+    reads the steps from there, so a coalgebra built by hand, without one,
+    serves only as a step function.
     """
 
     step_fn: Callable
@@ -117,21 +119,28 @@ def _check_target(c: SymbolicCoalgebra, schema: OrbitSchema, target: tuple,
 
 
 def _step_fn(c: SymbolicCoalgebra, schema: OrbitSchema) -> Callable:
-    """The schema's step view, checked for shape and slots, as a function of
-    a concrete atom tuple with the target orbits looked up once.  A λ's
-    binder, its slot's atom or else the least fresh one, fills FRESH slots:
-    it is read as one more atom, at position `arity` of the tuple."""
+    """The schema's step view, checked for shape and slots, as a function
+    `step(t, pool, child)` of a concrete atom tuple t, with the target orbits
+    looked up once.  Each child is `child` of a key `(schema id, canonical
+    atom tuple)`.  A λ binds the least name of `pool` outside t, or with
+    `pool` None its slot's atom or else the least fresh one.
+
+    The binder v is a slot's atom or else fresh for t, and the new binder w
+    is not in t, so renaming v to w on the body puts w wherever v was and
+    leaves t's other atoms alone: the body reads w at position k = |t| of
+    t + (w,)."""
     # a slot is a plain int: an Atom is an int, but not a slot
     match c.steps[schema.id]:
         case ("var", src) if type(src) is int:
             if src not in range(schema.arity):
                 raise InvalidCoalgebra(f"step of {schema.id!r}: slot {src + 1} out of range")
-            return lambda atoms: ("var", atoms[src])
+            return lambda t, pool, child: ("var", t[src])
         case ("app", (str(), tuple()) as left, (str(), tuple()) as right):
             ls, lslots = _check_target(c, schema, left, allow_fresh=False)
             rs, rslots = _check_target(c, schema, right, allow_fresh=False)
-            return lambda atoms: ("app", OrbitElement(ls, tuple([atoms[s] for s in lslots])),
-                                  OrbitElement(rs, tuple([atoms[s] for s in rslots])))
+            lid, left = ls.id, _picker(ls, lslots)
+            rid, right = rs.id, _picker(rs, rslots)
+            return lambda t, pool, child: ("app", child((lid, left(t))), child((rid, right(t))))
         case ("lam", b, (str(), tuple()) as body) if b is FRESH or type(b) is int:
             if b is not FRESH and b not in range(schema.arity):
                 raise InvalidCoalgebra(
@@ -141,24 +150,41 @@ def _step_fn(c: SymbolicCoalgebra, schema: OrbitSchema) -> Callable:
                 raise InvalidCoalgebra(
                     f"step of {schema.id!r}: binder slot {b + 1} and FRESH both in the λ body")
             k = schema.arity
-            slots = tuple([k if s is FRESH else s for s in slots])
+            bid, body = bs.id, _picker(bs, [k if s is FRESH or s == b else s for s in slots])
 
-            def lam(atoms):
-                v = fresh_atom(atoms) if b is FRESH else atoms[b]
-                atoms += (v,)
-                return ("lam", v, OrbitElement(bs, tuple([atoms[s] for s in slots])))
+            def lam(t, pool, child):
+                if pool is not None:
+                    v = min(pool.difference(t))
+                else:
+                    v = fresh_atom(t) if b is FRESH else t[b]
+                return ("lam", v, child((bid, body(t + (v,)))))
 
             return lam
         case view:
             raise InvalidCoalgebra(f"step of {schema.id!r} is not a step view: {view!r}")
 
 
+def _picker(schema: OrbitSchema, slots) -> Callable:
+    """The function from an atom tuple t to `schema`'s canonical tuple of
+    the atoms at `slots` of t."""
+    match slots:
+        case []:
+            pick = lambda t: ()
+        case [s]:
+            pick = lambda t: (t[s],)
+        case _:
+            pick = itemgetter(*slots)
+    return pick if schema.trivial else lambda t: schema.canonical(pick(t))
+
+
 def _steps(c: SymbolicCoalgebra) -> dict[str, Callable]:
     """Each orbit's `_step_fn`, after checking that every orbit has exactly
     one step and that it is well-defined under every non-identity stabilizer
-    member."""
+    member.  Both sides of the check bind the same name, outside the tuple,
+    so equal labels are equal steps."""
     if stray := c.steps.keys() - {schema.id for schema in c.carrier}:
         raise InvalidCoalgebra(f"step for undeclared orbit {min(stray)!r}")
+    as_key = lambda key: key  # children stay keys
     steps = {}
     for schema in c.carrier:
         if schema.id not in c.steps:
@@ -168,11 +194,10 @@ def _steps(c: SymbolicCoalgebra) -> dict[str, Callable]:
             continue  # the identity agrees with itself
         # well-definedness on the stabilizer quotient, checked exhaustively
         base = tuple(Atom(i) for i in range(schema.arity))
-        s0 = step(base)
+        pool = frozenset(base + (Atom(schema.arity),))
+        s0 = step(base, pool, as_key)
         for g in schema.stabilizer - {slot_identity(schema.arity)}:
-            sg = step(apply_slot_perm(g, base))
-            agree = s0 == sg or s0[0] == sg[0] == "lam" and abstraction_eq(*s0[1:], *sg[1:])
-            if not agree:
+            if step(apply_slot_perm(g, base), pool, as_key) != s0:
                 raise InvalidCoalgebra(
                     f"step of {schema.id!r} is not well-defined under stabilizer {g}"
                 )
@@ -180,10 +205,18 @@ def _steps(c: SymbolicCoalgebra) -> dict[str, Callable]:
 
 
 def instantiate(c: SymbolicCoalgebra) -> ConcreteCoalgebra:
-    """The concrete coalgebra of `c`, on the step functions kept when it was built."""
-    steps = c._step_fns
+    """The concrete coalgebra of `c`, on the step functions kept when it was
+    built, each child key wrapped as an element."""
+    steps, carrier = c._step_fns, c.carrier
     m = max((s.arity for s in c.carrier), default=0)
-    return ConcreteCoalgebra(lambda e: steps[e.schema.id](e.atoms), m, c)
+
+    def element(key):
+        return OrbitElement(carrier[key[0]], key[1])
+
+    def step_fn(e):
+        return steps[e.schema.id](e.atoms, None, element)
+
+    return ConcreteCoalgebra(step_fn, m, c)
 
 
 # ---------------------------------------------------------------------------
@@ -198,100 +231,48 @@ def size_bound(n: int, m: int) -> int:
 def c_construct(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) -> TermGraph:
     """Materialize the behavior of an element as a finite term graph.
 
-    The name pool W is the support of the root padded with least fresh atoms
-    to m+1 names, so every element has some name in W fresh for it.  With a
-    carrier given, which must be the carrier of the symbolic coalgebra that
-    `instantiate` built `conc` from, the node set is every carrier element
-    supported in W; without one, only the part reachable from the root is
-    built.
+    `conc` must be a coalgebra that `instantiate` built.  The name pool W is
+    the support of the root padded with least fresh atoms to m+1 names, so
+    every element has some name in W fresh for it.  A node is a key
+    `(schema id, canonical atom tuple)` over W, labelled by its orbit's
+    step on that tuple, with a λ binding W's least name outside the tuple.
+    With a carrier given, which must be the coalgebra's own, the nodes are
+    every such key, numbered by orbit in carrier order and then by tuple;
+    without one, they are the keys reachable from the root, numbered
+    breadth first.
     """
     m = conc.support_bound
     if len(root.support()) > m:
         raise SupportTooLarge(root)
+    c = conc.origin
+    if c is None or carrier is not None and carrier != c.carrier:
+        raise ValueError("c_construct needs the carrier of the symbolic coalgebra "
+                         "that instantiate built the coalgebra from")
+    sid = root.schema.id
+    if sid not in c.carrier or c.carrier[sid] != root.schema:
+        raise EscapesCarrier(root)
     pad = fresh_atoms(root.support(), m + 1 - len(root.support()))
     W = frozenset(root.support()) | frozenset(pad)
-    if carrier is not None:
-        if conc.origin is None or carrier != conc.origin.carrier:
-            raise ValueError("an enumerative c_construct needs the carrier of the "
-                             "symbolic coalgebra that instantiate built the coalgebra from")
-        return _enumerate(conc.origin, W, root)
+    root_key = (sid, root.canonical())
+    if carrier is None:
+        keys = [root_key]
+    else:
+        pool = sorted(W)
+        keys = [(s.id, t) for s in carrier for t in canonical_tuples(s, pool)]
+    ids = {key: i for i, key in enumerate(keys)}
 
-    ids: dict = {}
-    nodes: dict[int, tuple] = {}
-    pending: deque = deque()
+    def node_id(key):
+        if (i := ids.get(key)) is None:
+            i = ids[key] = len(keys)
+            keys.append(key)
+        return i
 
-    def node_id(e):
-        if (i := ids.get(e)) is not None:  # its support was checked when it was added
-            return i
-        if len(e.support()) > m:
-            raise SupportTooLarge(e)
-        ids[e] = len(ids)
-        pending.append(e)
-        return ids[e]
-
-    node_id(root)
-    while pending:
-        e = pending.popleft()
-        match step := conc.step_fn(e):
-            case ("lam", v, body):
-                # |support(e)| <= m < |W|: rename the binder to W's least name fresh for e
-                w = min(W - e.support())
-                step = ("lam", w, body if v == w else body.act(swap(v, w)))
-            case ("bot",):
-                raise InvalidCoalgebra(f"unknown concrete step {step!r}")
-        nodes[ids[e]] = _lmap(step, child=node_id)
-
-    return TermGraph(nodes, ids[root])
-
-
-def _enumerate(c: SymbolicCoalgebra, W: frozenset, root) -> TermGraph:
-    """One node per carrier element supported in W, numbered by orbit in
-    carrier order and then by canonical tuple, each labelled by its orbit's
-    step view on that tuple.
-
-    A λ's binder is renamed to W's least name w fresh for the tuple t.  The
-    binder is a slot's atom or else fresh for t, and w is not in t, so
-    swapping the two on the body puts w wherever the binder was and leaves
-    t's other atoms alone: the body reads w at position k = |t| of
-    t + (w,).  Every target then has its atoms in W and a carrier orbit, so
-    it is a node."""
-    pool = sorted(W)
-    tuples = [(s, list(canonical_tuples(s, pool))) for s in c.carrier]
-    ids = {}
-    for schema, ts in tuples:
-        for t in ts:
-            ids[schema.id, t] = len(ids)
-    if (root_id := ids.get((root.schema.id, root.canonical()))) is None:
-        raise EscapesCarrier(root)
-
-    labels = []
-    for schema, ts in tuples:
-        k = schema.arity
-        match c.steps[schema.id]:
-            case ("var", src):
-                labels += [("var", t[src]) for t in ts]
-            case ("app", (ls, lslots), (rs, rslots)):
-                left, right = _picker(c.carrier[ls], lslots), _picker(c.carrier[rs], rslots)
-                labels += [("app", ids[ls, left(t)], ids[rs, right(t)]) for t in ts]
-            case ("lam", b, (bs, slots)):
-                body = _picker(c.carrier[bs], [k if s is FRESH or s == b else s for s in slots])
-                for t in ts:
-                    w = min(W.difference(t))
-                    labels.append(("lam", w, ids[bs, body(t + (w,))]))
-    return TermGraph(dict(enumerate(labels)), root_id)
-
-
-def _picker(schema: OrbitSchema, slots) -> Callable:
-    """The function from an atom tuple t to `schema`'s canonical tuple of
-    the atoms at `slots` of t."""
-    match slots:
-        case []:
-            pick = lambda t: ()
-        case [s]:
-            pick = lambda t: (t[s],)
-        case _:
-            pick = itemgetter(*slots)
-    return pick if schema.trivial else lambda t: schema.canonical(pick(t))
+    steps = c._step_fns
+    # every child of an enumerative node is a node; in reach mode, keys grows
+    # as the walk meets new ones
+    child = node_id if carrier is None else ids.__getitem__
+    labels = [steps[s](t, W, child) for s, t in keys]
+    return TermGraph(dict(enumerate(labels)), ids[root_key])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Capture-avoiding substitution: finite oracle and corecursive rational version.
+"""Capture-avoiding substitution: on finite terms, for head reduction, and a
+corecursive version on rational terms.
 
 A term graph is a coalgebra on pairs of a node and the images of its free
 names.  The rational version unfolds t[v := s] over these states of t and s
@@ -13,7 +14,7 @@ from .terms import App, Bot, FiniteTerm, Lam, TermGraph, Var, _lmap, fv
 
 
 # ---------------------------------------------------------------------------
-# Finite terms (oracle)
+# Finite terms
 
 
 def subst_finite(t: FiniteTerm, v: Atom, s: FiniteTerm) -> FiniteTerm:

@@ -33,7 +33,6 @@ from ratlam import (
     UnguardedMu,
     Var,
     abstraction_eq,
-    c_construct,
     enumerate_support_in,
     fresh_atom,
     fresh_atoms,
@@ -560,7 +559,7 @@ def alpha_eq_finite(t1: FiniteTerm, t2: FiniteTerm) -> bool:
 # ---------------------------------------------------------------------------
 # Unfolding oracles: μ-terms by substituting Mu bodies for refs (for graph_of +
 # truncate), coalgebras with globally fresh binder names (for c_construct), and
-# the element-by-element enumerative construction.
+# the element-by-element construction in both modes of c_construct.
 
 
 def unfold_muterm(t: MuTerm, depth: int) -> FiniteTerm:
@@ -608,12 +607,15 @@ def naive_unfold(conc: ConcreteCoalgebra, root, depth: int) -> FiniteTerm:
     return go(root, depth)
 
 
-def c_construct_by_elements(conc: ConcreteCoalgebra, root, carrier: OrbitSet) -> TermGraph:
-    """Reference for the enumerative ratlam.c_construct: every carrier element
-    supported in the name pool W becomes an `OrbitElement` node, and each
-    node's step is taken through `conc.step_fn`, its λ binder renamed to W's
-    least name fresh for the element; a step target outside the nodes is an
-    `EscapesCarrier`."""
+def c_construct_by_elements(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) -> TermGraph:
+    """Reference for ratlam.c_construct, element by element: each node is an
+    `OrbitElement`, and its step is taken through `conc.step_fn`, its λ
+    binder renamed to the name pool W's least name fresh for the element.
+    With a carrier, the nodes are every carrier element supported in W, and
+    a step target outside them is an `EscapesCarrier`; without one, they are
+    the elements reachable from the root, numbered breadth first, each
+    checked against the support bound.  It needs only the step function, so
+    it also unfolds coalgebras built by hand."""
     m = conc.support_bound
     if len(root.support()) > m:
         raise SupportTooLarge(root)
@@ -629,16 +631,19 @@ def c_construct_by_elements(conc: ConcreteCoalgebra, root, carrier: OrbitSet) ->
             return i
         if len(e.support()) > m:
             raise SupportTooLarge(e)
-        if from_step:
+        if from_step and carrier is not None:
             raise EscapesCarrier(e)
         ids[e] = len(ids)
         pending.append(e)
         return ids[e]
 
-    for e in enumerate_support_in(carrier, W):
-        node_id(e, from_step=False)
-    if root not in ids:
-        raise EscapesCarrier(root)
+    if carrier is None:
+        node_id(root, from_step=False)
+    else:
+        for e in enumerate_support_in(carrier, W):
+            node_id(e, from_step=False)
+        if root not in ids:
+            raise EscapesCarrier(root)
 
     while pending:
         e = pending.popleft()
@@ -646,6 +651,10 @@ def c_construct_by_elements(conc: ConcreteCoalgebra, root, carrier: OrbitSet) ->
             case ("lam", v, body):
                 w = min(W - e.support())
                 step = ("lam", w, body if v == w else body.act(swap(v, w)))
+            case ("var", _) | ("app", _, _):
+                pass
+            case _:
+                raise InvalidCoalgebra(f"unknown concrete step {step!r}")
         nodes[ids[e]] = _lmap(step, child=node_id)
 
     return TermGraph(nodes, ids[root])
@@ -654,7 +663,7 @@ def c_construct_by_elements(conc: ConcreteCoalgebra, root, carrier: OrbitSet) ->
 # ---------------------------------------------------------------------------
 # Reference for ratlam.subst_rational: the substitution coalgebra on B + A×V×B
 # over the coalgebras of the two graphs, materialized by the reachable
-# c_construct.
+# element-by-element construction.
 
 
 @dataclass(frozen=True)
@@ -724,8 +733,8 @@ def substitution_states(t: TermGraph, v: Atom, s: TermGraph, pad_a: int = 0, pad
 
 def subst_by_coalgebra(t: TermGraph, v: Atom, s: TermGraph, pad_a: int = 0,
                        pad_b: int = 0) -> TermGraph:
-    """t[v := s] as the reachable c_construct of the substitution coalgebra."""
-    return c_construct(*substitution_states(t, v, s, pad_a, pad_b))
+    """t[v := s] as the reachable construction of the substitution coalgebra."""
+    return c_construct_by_elements(*substitution_states(t, v, s, pad_a, pad_b))
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,17 @@ def test_reach_mode_rejects_a_step_target_over_the_support_bound():
     conc = ConcreteCoalgebra(lambda e: ("app", wide, e) if e.schema is o else ("var", a),
                              support_bound=1)
     with pytest.raises(SupportTooLarge, match=r"^element p\(v0,v1\) exceeds the support bound$"):
-        c_construct(conc, OrbitElement(o, (a,)))
+        c_construct_by_elements(conc, OrbitElement(o, (a,)))
+
+
+def test_reach_mode_needs_an_instantiated_coalgebra():
+    # c_construct reads the symbolic steps, which a hand-built coalgebra lacks
+    o = OrbitSchema("o", 1)
+    conc = ConcreteCoalgebra(lambda e: ("var", e.atoms[0]), support_bound=1)
+    with pytest.raises(ValueError, match="needs the carrier") as info:
+        c_construct(conc, OrbitElement(o, (Atom(0),)))
+    assert type(info.value) is ValueError
+    assert c_construct_by_elements(conc, OrbitElement(o, (Atom(0),))).nodes == {0: ("var", Atom(0))}
 
 
 def test_escapes_carrier():
@@ -292,10 +302,13 @@ def test_enumerative_mode_needs_the_coalgebras_own_carrier():
 def test_enumerative_root_outside_the_carrier():
     sym, _ = gen_pair()
     conc = instantiate(sym)
-    stray = OrbitElement(OrbitSchema("stray", 1), (Atom(0),))
-    with pytest.raises(EscapesCarrier) as info:
-        c_construct(conc, stray, sym.carrier)
-    assert info.value.elem is stray
+    # an undeclared orbit, and a declared orbit's id at the wrong arity, in both modes
+    for stray in (OrbitElement(OrbitSchema("stray", 1), (Atom(0),)),
+                  OrbitElement(OrbitSchema("pair", 1), (Atom(0),))):
+        for carrier in (sym.carrier, None):
+            with pytest.raises(EscapesCarrier) as info:
+                c_construct(conc, stray, carrier)
+            assert info.value.elem is stray
 
 
 def _with_slot_binders(rng, sym):
@@ -334,10 +347,11 @@ def test_enumerative_mode_agrees_with_the_element_construction():
     stabilized = slot_binders = 0
     for name, sym, root in _differential_cases():
         conc = instantiate(sym)
-        g = c_construct(conc, root, sym.carrier)
-        want = c_construct_by_elements(conc, root, sym.carrier)
-        assert list(g.nodes.items()) == list(want.nodes.items()), name
-        assert g.root == want.root, name
+        for carrier in (sym.carrier, None):
+            g = c_construct(conc, root, carrier)
+            want = c_construct_by_elements(conc, root, carrier)
+            assert list(g.nodes.items()) == list(want.nodes.items()), (name, carrier)
+            assert g.root == want.root, (name, carrier)
         stabilized += any(not s.trivial for s in sym.carrier)
         slot_binders += any(v[0] == "lam" and v[1] is not FRESH for v in sym.steps.values())
     assert stabilized == 40
@@ -348,7 +362,7 @@ def test_rejects_a_step_that_is_not_a_label():
     o = OrbitSchema("o", 0)
     conc = ConcreteCoalgebra(lambda e: ("bot",), support_bound=0)
     with pytest.raises(InvalidCoalgebra):
-        c_construct(conc, OrbitElement(o, ()))
+        c_construct_by_elements(conc, OrbitElement(o, ()))
 
 
 # μr. λv0. v0 (v1 r) [v1 := v0 v2]: the binder v0 is free in the replacement

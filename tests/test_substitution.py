@@ -9,7 +9,6 @@ from ratlam import (
     Lam,
     Var,
     alpha_bisim,
-    c_construct,
     gen_rsigma,
     graph_of,
     parse_term,
@@ -26,6 +25,7 @@ from conftest import (
     CORPUS,
     InTriple,
     alpha_eq_finite,
+    c_construct_by_elements,
     random_perm,
     random_term_graph,
     subst_by_coalgebra,
@@ -112,7 +112,7 @@ def test_subst_rational_avoids_capture():
 
 def test_subst_rational_commutation_hand_cases(monkeypatch):
     # on the oracle, the last three reach InTriple.act: a λ step's binder
-    # lies outside c_construct's name pool, so the body is renamed into it
+    # lies outside the oracle's name pool, so the body is renamed into it
     acts = []
     act = InTriple.act
     monkeypatch.setattr(InTriple, "act", lambda self, p: acts.append(p) or act(self, p))
@@ -262,5 +262,5 @@ def test_output_size_within_orbit_bound():
                     seen.add(child)
                     stack.append(child)
         orbits = len({_state_pattern(st) for st in seen})
-        out = c_construct(conc, root)
+        out = c_construct_by_elements(conc, root)
         assert len(out.nodes) <= size_bound(orbits, conc.support_bound)
