@@ -28,7 +28,7 @@ from .orbits import (
     canonical_tuples,
     slot_identity,
 )
-from .terms import _ATOM_NAME, TermGraph, _children, _classes, _lmap
+from .terms import _ATOM_NAME, TermGraph, _classes, _lmap
 
 # FRESH marker in step views
 FRESH = None
@@ -96,26 +96,33 @@ def _check_target(c: SymbolicCoalgebra, schema: OrbitSchema, target: tuple,
                   allow_fresh: bool) -> tuple[OrbitSchema, tuple]:
     """The target's schema and assignment, after checking them."""
     sid, assignment = target
-    if sid not in c.carrier:
-        raise InvalidCoalgebra(f"step of {schema.id!r}: target names undeclared orbit {sid!r}")
-    if len(assignment) != c.carrier[sid].arity:
+    try:
+        target_schema = c.carrier[sid]
+    except KeyError:
+        raise InvalidCoalgebra(
+            f"step of {schema.id!r}: target names undeclared orbit {sid!r}") from None
+    if len(assignment) != target_schema.arity:
         raise InvalidCoalgebra(
             f"step of {schema.id!r}: assignment length {len(assignment)} "
             f"does not match arity of {sid!r}"
         )
-    slots = [s for s in assignment if s is not FRESH]
-    if not allow_fresh and len(slots) < len(assignment):
-        raise InvalidCoalgebra(f"step of {schema.id!r}: FRESH not allowed in an application target")
-    if len(assignment) - len(slots) > 1:
-        raise InvalidCoalgebra(f"step of {schema.id!r}: more than one FRESH slot")
+    slots = assignment
+    if FRESH in assignment:
+        if not allow_fresh:
+            raise InvalidCoalgebra(
+                f"step of {schema.id!r}: FRESH not allowed in an application target")
+        slots = [s for s in assignment if s is not FRESH]
+        if len(assignment) - len(slots) > 1:
+            raise InvalidCoalgebra(f"step of {schema.id!r}: more than one FRESH slot")
+    k = schema.arity
     for s in slots:
         if type(s) is not int:
             raise InvalidCoalgebra(f"step of {schema.id!r}: {s!r} in an assignment is not a slot")
-        if s not in range(schema.arity):
+        if not 0 <= s < k:
             raise InvalidCoalgebra(f"step of {schema.id!r}: slot {s + 1} out of range")
     if len(set(slots)) != len(slots):
         raise InvalidCoalgebra(f"step of {schema.id!r}: assignment not injective")
-    return c.carrier[sid], assignment
+    return target_schema, assignment
 
 
 def _step_fn(c: SymbolicCoalgebra, schema: OrbitSchema) -> Callable:
@@ -420,20 +427,27 @@ def _free_orders(g: TermGraph) -> dict[int, tuple[Atom, ...]]:
     skips its own binder.  Cost: O(Σ |fv(n)|) over the reachable nodes.
     """
     found: dict[int, dict[Atom, None]] = {}
-    into: tuple[dict, dict] = ({}, {})  # per child position: child → [(parent, names, binder)]
+    # per child position: child → [(parent, names, binder)]
+    into_fn: dict[int, list] = {}
+    into_arg: dict[int, list] = {}
     level = []
+    nodes = g.nodes
     for n in g.reachable():
-        label = g.nodes[n]
+        label = nodes[n]
         names = found[n] = {}
-        binder = label[1] if label[0] == "lam" else None
-        for i, c in enumerate(_children(label)):
-            into[i].setdefault(c, []).append((n, names, binder))
-        if label[0] == "var":
+        kind = label[0]
+        if kind == "app":
+            edge = (n, names, None)
+            into_fn.setdefault(label[1], []).append(edge)
+            into_arg.setdefault(label[2], []).append(edge)
+        elif kind == "lam":
+            into_fn.setdefault(label[2], []).append((n, names, label[1]))
+        elif kind == "var":
             names[label[1]] = None
             level.append((n, label[1]))
     while level:
         deeper = []
-        for edges in into:
+        for edges in (into_fn, into_arg):
             for c, a in level:
                 for n, names, binder in edges.get(c, ()):
                     if a not in names and (binder is None or a != binder):

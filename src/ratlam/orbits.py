@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .nominal import Atom, Perm
 
@@ -53,17 +54,21 @@ class OrbitSchema:
 
     `trivial` records that the stabilizer is the identity alone, so that
     every tuple is its own class.  Any other stabilizer is checked to be a
-    group of slot permutations when the schema is built."""
+    group of slot permutations when the schema is built, and its members are
+    kept as `itemgetter`s in `_getters` for `canonical`."""
 
     id: str
     arity: int
     stabilizer: frozenset[SlotPerm] = field(default=None)  # type: ignore[assignment]
     trivial: bool = field(init=False, repr=False, compare=False)
+    _getters: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ident = slot_identity(self.arity)
         if self.stabilizer is None:
-            object.__setattr__(self, "stabilizer", frozenset({ident}))
+            object.__setattr__(self, "stabilizer", frozenset({tuple(range(self.arity))}))
+            object.__setattr__(self, "trivial", True)
+            return
+        ident = slot_identity(self.arity)
         object.__setattr__(self, "trivial", self.stabilizer == {ident})
         if self.trivial:
             return
@@ -78,10 +83,12 @@ class OrbitSchema:
             for h in self.stabilizer:
                 if slot_compose(g, h) not in self.stabilizer:
                     raise NotASubgroup(self.id, f"composite of {g} and {h} missing")
+        # a nontrivial group moves two slots, so each getter returns a tuple
+        object.__setattr__(self, "_getters", tuple(itemgetter(*g) for g in self.stabilizer))
 
     def canonical(self, atoms: tuple) -> tuple:
         """The lexicographically least tuple in the stabilizer class of `atoms`."""
-        return atoms if self.trivial else min(apply_slot_perm(g, atoms) for g in self.stabilizer)
+        return atoms if self.trivial else min([g(atoms) for g in self._getters])
 
 
 @dataclass(frozen=True)
@@ -157,13 +164,20 @@ class OrbitElement:
 
 def canonical_tuples(schema: OrbitSchema, pool):
     """The canonical tuples of the schema's elements supported inside the
-    sorted atom `pool`, in lexicographic order.  Tuples of a sorted pool come
-    in that order, so each element is met first at its canonical tuple; only
-    that one is yielded."""
-    tuples = itertools.permutations(pool, schema.arity)
+    sorted atom `pool`, in lexicographic order.
+
+    Under a trivial stabilizer these are all the k-permutations of the pool.
+    Otherwise, whether a tuple of distinct atoms is the least of its class
+    depends only on the relative order of its atoms, so the canonical orders
+    ("shapes") of range(k) are found once, k!·|G| slot-permutation steps,
+    and each is laid over every k-subset of the pool, which is then sorted:
+    O(C(|pool|, k) · s) tuples for s shapes, with no test per tuple."""
+    k = schema.arity
     if schema.trivial:
-        return tuples
-    return (t for t in tuples if t == schema.canonical(t))
+        return itertools.permutations(pool, k)
+    shapes = [itemgetter(*p) for p in itertools.permutations(range(k))
+              if p == schema.canonical(p)]
+    return sorted(shape(c) for c in itertools.combinations(pool, k) for shape in shapes)
 
 
 def enumerate_support_in(s: OrbitSet, atoms) -> list[OrbitElement]:

@@ -391,22 +391,44 @@ class TermGraph:
     """
 
     def __init__(self, nodes: dict[int, tuple], root: int):
+        # the labels `_children` accepts, each child checked as it is read
         for nid, label in nodes.items():
-            try:
-                kids = _children(label)
-            except ValueError as e:
-                raise ValueError(f"node {nid}: {e}") from None
-            for child in kids:
-                if child not in nodes:
-                    raise ValueError(f"node {nid} references missing node {child}")
+            match label:
+                case ("app", f, a):
+                    if f not in nodes:
+                        raise ValueError(f"node {nid} references missing node {f}")
+                    if a not in nodes:
+                        raise ValueError(f"node {nid} references missing node {a}")
+                case ("lam", _, b):
+                    if b not in nodes:
+                        raise ValueError(f"node {nid} references missing node {b}")
+                case ("var", _) | ("bot",):
+                    pass
+                case _:
+                    raise ValueError(f"node {nid}: malformed label {label!r}")
         if root not in nodes:
             raise ValueError("root node missing")
         self.nodes = dict(nodes)
         self.root = root
 
     def reachable(self) -> list[int]:
-        """The nodes reachable from the root, in depth-first preorder."""
-        return [n for kind, n, _ in _dfs(self) if kind == _ENTER]
+        """The nodes reachable from the root, in depth-first preorder with
+        children in order: the order in which `_dfs` enters them.  One loop
+        on an explicit stack pops a node, skips it if seen, else records it
+        and pushes its children in reverse."""
+        nodes, seen = self.nodes, {}
+        stack = [self.root]
+        while stack:
+            n = stack.pop()
+            if n in seen:
+                continue
+            seen[n] = None
+            label = nodes[n]
+            if label[0] == "app":
+                stack += label[2], label[1]
+            elif label[0] == "lam":
+                stack.append(label[2])
+        return list(seen)
 
     def fv_map(self) -> dict[int, frozenset[Atom]]:
         """Free variables per node: least fixpoint of the structural equations.

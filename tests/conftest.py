@@ -42,6 +42,7 @@ from ratlam import (
     print_term,
     swap,
 )
+from ratlam.orbits import apply_slot_perm
 from ratlam.terms import (
     FiniteTerm,
     MuTerm,
@@ -440,6 +441,19 @@ def _same_orbit_by_search(g: TermGraph, fvs, n1: int, n2: int) -> bool:
         bisim_check(g, g, fvs, fvs, set(), n1, n2, frozenset(zip(a1, image)))
         for image in itertools.permutations(a2)
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference for ratlam.orbits.canonical_tuples: every k-permutation of the
+# pool, kept when it is the least of its stabilizer class.
+
+
+def canonical_tuples_by_filter(schema: OrbitSchema, pool) -> list[tuple]:
+    """The canonical tuples over the sorted `pool`, in lexicographic order:
+    the k-permutations of a sorted pool come in that order, and each is kept
+    when no stabilizer member maps it to a smaller tuple."""
+    return [t for t in itertools.permutations(pool, schema.arity)
+            if all(apply_slot_perm(g, t) >= t for g in schema.stabilizer)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from ratlam import (
     OrbitSet,
     enumerate_support_in,
 )
-from ratlam.orbits import apply_slot_perm, canonical_tuples
+from ratlam.orbits import apply_slot_perm, canonical_tuples, slot_compose, slot_identity
 
-from conftest import random_perm
+from conftest import canonical_tuples_by_filter, random_perm
 
 S2 = frozenset({(0, 1), (1, 0)})
 S3 = frozenset(itertools.permutations(range(3)))
@@ -113,6 +113,58 @@ def test_canonical_tuples_are_the_least_of_their_class():
     assert list(canonical_tuples(rot, pool)) == [(a0, a1, a2), (a0, a2, a1)]
     assert rot.canonical((a2, a0, a1)) == (a0, a1, a2)
     assert rot.canonical((a2, a1, a0)) == (a0, a2, a1)
+
+
+def _generated(gens, k: int) -> frozenset:
+    """The group of slot permutations on k slots that `gens` generate."""
+    group, todo = {slot_identity(k)}, [slot_identity(k)]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            if (y := slot_compose(g, x)) not in group:
+                group.add(y)
+                todo.append(y)
+    return frozenset(group)
+
+
+def _two_generated_subgroups(k: int) -> set[frozenset]:
+    """Every <g, h>, as the join of two cyclic subgroups, each given by one
+    of its generators."""
+    cyclic = {_generated([g], k): g for g in itertools.permutations(range(k))}
+    pairs = itertools.combinations_with_replacement(cyclic.values(), 2)
+    return {_generated(gens, k) for gens in pairs}
+
+
+def test_canonical_tuples_match_the_filter_on_two_generated_stabilizers():
+    rng = random.Random(44)
+    cases = 0
+    for k in range(2, 6):
+        for n, stab in enumerate(sorted(_two_generated_subgroups(k), key=sorted)):
+            schema = OrbitSchema(f"g{n}", k, stab)
+            for size in range(8):
+                pool = sorted(Atom(i) for i in rng.sample(range(10), size))
+                assert list(canonical_tuples(schema, pool)) == canonical_tuples_by_filter(schema, pool)
+                cases += 1
+    assert cases == 8 * (2 + 6 + 30 + 156)  # every subgroup of S2..S5 is 2-generated
+
+
+def test_canonical_tuples_of_the_padded_benchmark_orbit():
+    # arity 4, slots 3 and 4 swapped, over 5 atoms: 5 subsets x 12 orders
+    schema = OrbitSchema("p0", 4, frozenset({(0, 1, 2, 3), (0, 1, 3, 2)}))
+    pool = [Atom(i) for i in (1, 3, 4, 7, 9)]
+    out = list(canonical_tuples(schema, pool))
+    assert out == canonical_tuples_by_filter(schema, pool)
+    assert len(out) == 60 and all(t[2] < t[3] for t in out)
+
+
+def test_canonical_is_the_least_image_under_the_stabilizer():
+    rng = random.Random(45)
+    groups = [(k, stab) for k in (2, 3, 4) for stab in _two_generated_subgroups(k)]
+    for _ in range(500):
+        k, stab = rng.choice(groups)
+        schema = OrbitSchema("s", k, stab)
+        atoms = tuple(Atom(i) for i in rng.sample(range(9), k))
+        assert schema.canonical(atoms) == min(apply_slot_perm(g, atoms) for g in stab)
 
 
 def _random_schema(rng: random.Random) -> OrbitSchema:

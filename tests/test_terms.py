@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import re
 import sys
 import time
 
@@ -34,7 +35,7 @@ from ratlam import (
     truncate,
 )
 from ratlam import terms
-from ratlam.terms import _classes, _label_key, _lmap, _set_hash, is_finite
+from ratlam.terms import _ENTER, _classes, _dfs, _label_key, _lmap, _set_hash, is_finite
 
 from conftest import (
     CORPUS,
@@ -366,10 +367,15 @@ def test_graph_of_shared_uplink_example():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
+    v = ("var", Atom(0))
+    with pytest.raises(ValueError, match=r"^node 0 references missing node 1$"):
         TermGraph({0: ("lam", Atom(0), 1)}, 0)
-    with pytest.raises(ValueError):
-        TermGraph({0: ("var", Atom(0))}, 1)
+    with pytest.raises(ValueError, match=r"^node 0 references missing node 2$"):
+        TermGraph({0: ("app", 2, 1), 1: v}, 0)
+    with pytest.raises(ValueError, match=r"^node 0 references missing node 2$"):
+        TermGraph({0: ("app", 1, 2), 1: v}, 0)
+    with pytest.raises(ValueError, match=r"^root node missing$"):
+        TermGraph({0: v}, 1)
 
 
 @pytest.mark.parametrize("nodes, bad", [
@@ -378,10 +384,12 @@ def test_graph_validation():
     ({0: ("app", 0)}, 0),
     ({0: ("var", Atom(0), 0)}, 0),
     ({0: ("bot", 0)}, 0),
+    ({0: None}, 0),
+    ({0: "var"}, 0),
 ], ids=["unknown-kind", "lam-without-child", "app-with-one-child", "var-with-child",
-        "bot-with-child"])
+        "bot-with-child", "none", "string"])
 def test_graph_rejects_malformed_labels(nodes, bad):
-    with pytest.raises(ValueError, match=rf"^node {bad}: malformed label"):
+    with pytest.raises(ValueError, match=rf"^node {bad}: malformed label {re.escape(repr(nodes[bad]))}$"):
         TermGraph(nodes, 0)
 
 
@@ -672,6 +680,26 @@ def test_minimize():
         assert len(m.reachable()) == subtree_count(g) == subtree_count(m)
         for d in (4, 10):
             assert truncate(m, d) == truncate(g, d)
+
+
+def test_reachable_is_the_order_in_which_dfs_enters_nodes():
+    # carrier order, and so the numbering of enumerative c_construct, follows it
+    rng = random.Random(73)
+    seen = set()
+    for _ in range(600):
+        g = _random_graph(rng, rng.randint(1, 12))
+        for h in (g, glued(g)):
+            order = h.reachable()
+            assert order == [n for kind, n, _ in _dfs(h) if kind == _ENTER]
+            reach = reach_by_closure(h)
+            kids = [c for n in order for c in terms._children(h.nodes[n])]
+            if any(n in reach[n] for n in order):
+                seen.add("cycle")
+            if len(set(kids)) < len(kids):
+                seen.add("shared")
+            if len(order) < len(h.nodes):
+                seen.add("unreachable")
+    assert seen == {"cycle", "shared", "unreachable"}
 
 
 def test_graph_core_agrees_with_reference_algorithms():
