@@ -94,8 +94,8 @@ def _budget(**limits: int) -> BtBudget:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """Built on the first `run`, not at import; `parse_args` leaves it unchanged."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """Built on the first `run`, not at import; parsing leaves the parsers unchanged."""
     ap = argparse.ArgumentParser(prog="ratlam", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -132,7 +132,17 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="subtree count vs closed form")
     p.add_argument("family", choices=["rsigma"])
     p.add_argument("level", type=int)
-    return ap
+    return ap, sub.choices
+
+
+def _parse_args(argv):
+    ap, commands = _parser()
+    if argv and argv[0] in commands:  # straight to the subparser that `ap` would hand it to
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:  # leftover arguments go to `ap`, which reports them
+            args.command = argv[0]
+            return args
+    return ap.parse_args(argv)
 
 
 def run(argv, out=None) -> int:
@@ -141,7 +151,7 @@ def run(argv, out=None) -> int:
     if out is None:
         out = sys.stdout
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 

@@ -574,7 +574,7 @@ def parse_root(text: str, c: SymbolicCoalgebra) -> OrbitElement:
     names = [a.strip() for a in atoms.split(",")] if atoms.strip() else []
     parsed = []
     for name in names:
-        am = re.fullmatch(_ATOM_NAME, name)
+        am = _ATOM_NAME.fullmatch(name)
         if not am:
             raise InvalidCoalgebra(f"bad atom {name!r} in root element")
         parsed.append(Atom(int(am.group(1))))

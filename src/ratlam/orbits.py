@@ -48,7 +48,7 @@ def apply_slot_perm(g: SlotPerm, t: tuple) -> tuple:
     return tuple(t[g[i]] for i in range(len(g)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class OrbitSchema:
     """One orbit: injective `arity`-tuples of atoms modulo `stabilizer`.
 
@@ -59,36 +59,42 @@ class OrbitSchema:
 
     id: str
     arity: int
-    stabilizer: frozenset[SlotPerm] = field(default=None)  # type: ignore[assignment]
+    stabilizer: frozenset[SlotPerm]
     trivial: bool = field(init=False, repr=False, compare=False)
     _getters: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.stabilizer is None:
-            object.__setattr__(self, "stabilizer", frozenset({tuple(range(self.arity))}))
-            object.__setattr__(self, "trivial", True)
-            return
-        ident = slot_identity(self.arity)
-        object.__setattr__(self, "trivial", self.stabilizer == {ident})
-        if self.trivial:
-            return
-        for g in self.stabilizer:
-            if len(g) != self.arity or sorted(g) != list(range(self.arity)):
-                raise NotASubgroup(self.id, f"{g} is not a permutation of the slots")
-        if ident not in self.stabilizer:
-            raise NotASubgroup(self.id, "identity missing")
-        for g in self.stabilizer:
-            if slot_inverse(g) not in self.stabilizer:
-                raise NotASubgroup(self.id, f"inverse of {g} missing")
-            for h in self.stabilizer:
-                if slot_compose(g, h) not in self.stabilizer:
-                    raise NotASubgroup(self.id, f"composite of {g} and {h} missing")
+    def __init__(self, id: str, arity: int, stabilizer: frozenset[SlotPerm] | None = None):
+        ident = slot_identity(arity)
+        trivial = stabilizer is None or stabilizer == {ident}
+        if stabilizer is None:
+            stabilizer = frozenset({ident})
+        elif not trivial:
+            for g in stabilizer:
+                if len(g) != arity or sorted(g) != list(range(arity)):
+                    raise NotASubgroup(id, f"{g} is not a permutation of the slots")
+            if ident not in stabilizer:
+                raise NotASubgroup(id, "identity missing")
+            for g in stabilizer:
+                if slot_inverse(g) not in stabilizer:
+                    raise NotASubgroup(id, f"inverse of {g} missing")
+                for h in stabilizer:
+                    if slot_compose(g, h) not in stabilizer:
+                        raise NotASubgroup(id, f"composite of {g} and {h} missing")
+        _set_id(self, id)
+        _set_arity(self, arity)
+        _set_stabilizer(self, stabilizer)
+        _set_trivial(self, trivial)
         # a nontrivial group moves two slots, so each getter returns a tuple
-        object.__setattr__(self, "_getters", tuple(itemgetter(*g) for g in self.stabilizer))
+        _set_getters(self, () if trivial else tuple(itemgetter(*g) for g in stabilizer))
 
     def canonical(self, atoms: tuple) -> tuple:
         """The lexicographically least tuple in the stabilizer class of `atoms`."""
         return atoms if self.trivial else min([g(atoms) for g in self._getters])
+
+
+# The slots' own setters, which the frozen `__setattr__` leaves for `__init__`.
+_set_id, _set_arity, _set_stabilizer, _set_trivial, _set_getters = (
+    getattr(OrbitSchema, name).__set__ for name in OrbitSchema.__slots__)
 
 
 @dataclass(frozen=True)

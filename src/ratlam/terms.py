@@ -3,7 +3,7 @@
 α-equivalence is decided on term graphs, by a search over node pairs on an
 explicit stack that decides it for the infinite unfoldings, so it has no
 nesting limit; a finite term is compared through its graph.  `graph_of`,
-`print_graph` and `truncate` still recurse.
+`print_graph`, `truncate`, `print_term` and a node's first `fv` still recurse.
 """
 
 from __future__ import annotations
@@ -34,14 +34,6 @@ class _Term:
 
 
 @dataclass(frozen=True)
-class Var(_Term):
-    atom: Atom
-
-    def act(self, p: Perm) -> "Var":
-        return Var(p(self.atom))
-
-
-@dataclass(frozen=True)
 class Bot(_Term):
     def act(self, p: Perm) -> "Bot":
         return self
@@ -51,11 +43,11 @@ BOT = Bot()
 
 
 class _Node(_Term):
-    """What Lam and App share.  A node is hashed once, when it is built, from
-    its fields, whose hashes are already known, so hashing never walks a term;
-    `fv` keeps a node's free variables the first time it is asked.  Equality
-    stops at shared subterms and at unequal hashes.  Nodes are immutable, as
-    the dataclass terms are; the kept hash relies on it."""
+    """What Var, Lam and App share.  A node is hashed once, when it is
+    built, from fields whose hashes are already known, so hashing never walks
+    a term; `fv` keeps a Lam or App node's free variables when first asked.
+    Equality stops at shared subterms and at unequal hashes.  Nodes are
+    immutable, as the dataclass terms are; the kept hash relies on it."""
 
     __slots__ = ("_hash", "_fv")
 
@@ -76,6 +68,17 @@ class _Node(_Term):
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__name__}({fields})"
+
+
+class Var(_Node):
+    __slots__ = __match_args__ = ("atom",)
+
+    def __init__(self, atom: Atom):
+        _set_atom(self, atom)
+        _set_hash(self, hash((atom,)))
+
+    def act(self, p: Perm) -> "Var":
+        return Var(p(self.atom))
 
 
 class Lam(_Node):
@@ -105,7 +108,7 @@ class App(_Node):
 
 
 # The slots' own setters, which the frozen `__setattr__` leaves for `__init__`.
-_set_hash, _set_fv = _Node._hash.__set__, _Node._fv.__set__
+_set_hash, _set_fv, _set_atom = _Node._hash.__set__, _Node._fv.__set__, Var.atom.__set__
 _set_binder, _set_body = Lam.binder.__set__, Lam.body.__set__
 _set_fn, _set_arg = App.fn.__set__, App.arg.__set__
 
@@ -127,6 +130,9 @@ def _same(s: _Node, t) -> bool:
             if s._hash != t._hash:
                 return False
             todo += (s.arg, t.arg), (s.fn, t.fn)
+        elif type(s) is Var:
+            if s.atom != t.atom:
+                return False
         elif s != t:
             return False
     return True
@@ -151,14 +157,14 @@ def fv(t: MuTerm) -> frozenset[Atom]:
     """Free variables; μ-references contribute nothing by themselves.  A Lam
     or App node keeps its set, so asking again costs O(1)."""
     match t:
+        case Var(a):
+            return frozenset({a})
         case Lam(x, b, _fv=None):
             _set_fv(t, fv(b) - {x})
         case App(f, a, _fv=None):
             _set_fv(t, fv(f) | fv(a))
         case _Node():
             pass
-        case Var(a):
-            return frozenset({a})
         case Bot() | Ref(_):
             return frozenset()
         case Mu(_, b):
@@ -205,7 +211,8 @@ class UnguardedMu(ValueError):
 
 
 # Exactly the names an `Atom` prints as: no leading zero.
-_ATOM_NAME = r"v(0|[1-9][0-9]*)"
+_ATOM_NAME = re.compile(r"v(0|[1-9][0-9]*)")
+_ATOM_WORD = re.compile(rf"\b{_ATOM_NAME.pattern}\b")
 
 
 class Interner:
@@ -223,13 +230,12 @@ class Interner:
 
     def reserve(self, text: str):
         """Pre-claim every atom name occurring in text."""
-        for m in re.finditer(rf"\b{_ATOM_NAME}\b", text):
-            self._used.add(int(m.group(1)))
+        self._used.update(map(int, _ATOM_WORD.findall(text)))
 
     def atom(self, name: str) -> Atom:
         if name in self._by_name:
             return self._by_name[name]
-        m = re.fullmatch(_ATOM_NAME, name)
+        m = _ATOM_NAME.fullmatch(name)
         if m:
             idx = int(m.group(1))
         else:
@@ -245,31 +251,28 @@ class Interner:
         return dict(self._by_name)
 
 
+# One group per token kind, in `_KINDS` order; μ before identifiers, so `mu'` is μ then `'`.
+# The last group takes any other character, so `finditer` never has to search ahead.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<lam>\\|λ)|(?P<mu>μ|\bmu\b)|(?P<bot>⊥|_\|_)"
-    r"|(?P<ref>#[a-zA-Z][a-zA-Z0-9']*)|(?P<ident>[a-zA-Z][a-zA-Z0-9']*)"
-    r"|(?P<dot>\.)|(?P<lp>\()|(?P<rp>\)))"
+    r"\s*(?:(\\|λ)|(μ|\bmu\b)|(⊥|_\|_)"
+    r"|(#[a-zA-Z][a-zA-Z0-9']*)|([a-zA-Z][a-zA-Z0-9']*)|(\.)|(\()|(\))|(\S))"
 )
+_KINDS = (None, "lam", "mu", "bot", "ref", "ident", "dot", "lp", "rp", None)
 
 
 def _tokenize(text: str):
-    pos = 0
     tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise TermSyntaxError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text.rstrip()):  # trailing blanks would match nothing
+        kind = _KINDS[i := m.lastindex]
+        if kind is None:
+            raise TermSyntaxError(f"unexpected character {m[i]!r}", m.start())
+        tokens.append((kind, m[i], m.start(i)))
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
-def _expect(tokens: list, i: int, kind: str) -> str:
-    found, value, pos = tokens[i]
+def _expect(token: tuple, kind: str) -> str:
+    found, value, pos = token
     if found != kind:
         raise TermSyntaxError(f"expected {kind}, found {value!r}", pos)
     return value
@@ -290,19 +293,15 @@ def parse_term(text: str, interner: Interner | None = None) -> MuTerm:
     if interner is None:
         interner = Interner()
     interner.reserve(text)
-    tokens = _tokenize(text)
+    tokens = iter(_tokenize(text))
     scope: dict[str, int] = {}  # label → number of open μs with that label
     errors: list[ValueError] = []
     stack = [["eof", [], None, None]]  # [closer, binders, application, bare label]
-    i = 0
-    while True:
-        kind, value, pos = tokens[i]
-        i += 1
+    for kind, value, pos in tokens:
         group = stack[-1]
         if kind == "mu" or kind == "lam" and group[2] is None:
-            name = _expect(tokens, i, "ident")
-            _expect(tokens, i + 1, "dot")
-            i += 2
+            name = _expect(next(tokens), "ident")
+            _expect(next(tokens), "dot")
             if kind == "lam":
                 name = interner.atom(name)
             else:

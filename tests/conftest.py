@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -49,7 +50,6 @@ from ratlam.terms import (
     _children,
     _label_key,
     _lmap,
-    _tokenize,
     minimize,
 )
 
@@ -779,8 +779,32 @@ def bt_truncate_by_spine(term: FiniteTerm, fuel: int, depth: int, cur: int = 0) 
 
 
 # ---------------------------------------------------------------------------
-# Reference for ratlam.terms.parse_term: recursive descent, then a second,
-# recursive walk that checks every #ref is bound and every μ guarded.
+# Reference for ratlam.terms.parse_term: a tokenizer that matches one named
+# group at each position, recursive descent, then a second, recursive walk
+# that checks every #ref is bound and every μ guarded.
+
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<lam>\\|λ)|(?P<mu>μ|\bmu\b)|(?P<bot>⊥|_\|_)"
+    r"|(?P<ref>#[a-zA-Z][a-zA-Z0-9']*)|(?P<ident>[a-zA-Z][a-zA-Z0-9']*)"
+    r"|(?P<dot>\.)|(?P<lp>\()|(?P<rp>\)))"
+)
+
+
+def tokenize_by_groups(text: str):
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip() == "":
+                break
+            raise TermSyntaxError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
 
 
 class _Parser:
@@ -860,7 +884,7 @@ def parse_term_by_descent(text: str, interner: Interner | None = None) -> MuTerm
     if interner is None:
         interner = Interner()
     interner.reserve(text)
-    p = _Parser(_tokenize(text), interner)
+    p = _Parser(tokenize_by_groups(text), interner)
     t = p.term()
     p.expect("eof")
     check_muterm(t)

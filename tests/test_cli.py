@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ratlam import parse_term
+from ratlam import cli, parse_term
 from ratlam.cli import run
 
 from conftest import alpha_eq_finite
@@ -351,6 +351,42 @@ def test_parser_keeps_no_state_between_calls(capsys):
         assert _run(["bt", "-d", "2", term]) == (0, "\\v1. _|_ _|_\n")
         assert _run(["bt", term]) == (0, "\\v1. v1 (v1 (v1 v0))\n")  # default depth 8
     assert "usage: ratlam" in capsys.readouterr().err
+
+
+def _dispatch_cases(tmp_path):
+    term, coalg = tmp_path / "term.lam", tmp_path / "pair.coalg"
+    term.write_text("λx. x ⊥\n", encoding="utf-8")
+    coalg.write_text("orbit var arity=1 stab=trivial\nstep var = var 1\n")
+    return [
+        ["parse", str(term)],
+        ["print", r"\x. x"],
+        ["truncate", "-d", "2", r"mu r. \x. x #r"],
+        ["alpha-eq", "mu r. v0 #r", "mu r. v1 #r"],
+        ["subtrees", "v0 v1"],
+        ["subst", "-v", "v1", "v0 v1", "v2"],
+        ["bt", "-d", "3", r"(\x. x) v0"],
+        ["bt-graph", r"(\x. x x) (\x. x x)"],
+        ["c-construct", str(coalg), "var(v0)"],
+        ["examples", "u"],
+        ["bench", "rsigma", "2"],
+        [], ["-h"], ["nope"], ["truncate", "v0"], ["truncate", "-d", "3", "v0", "extra"],
+        ["truncate", "--dep", "3", "v0"], ["truncate", "--depth=3", "v0"], ["bt", "-d3", "v0"],
+        ["subtrees", "--help"],
+    ]
+
+
+def test_commands_go_straight_to_their_subparser_with_the_same_outcome(tmp_path, capsys,
+                                                                       monkeypatch):
+    def outcome(argv):
+        code, text = _run(argv)
+        return code, text, *capsys.readouterr()
+
+    cases = _dispatch_cases(tmp_path)
+    direct = [outcome(argv) for argv in cases]
+    top_level, _ = cli._parser()
+    monkeypatch.setattr(cli, "_parser", lambda: (top_level, {}))  # no command goes direct
+    assert [outcome(argv) for argv in cases] == direct
+    assert {code for code, *_ in direct} == {0, 1, 2}
 
 
 @pytest.mark.parametrize("argv", [

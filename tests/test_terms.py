@@ -35,7 +35,16 @@ from ratlam import (
     truncate,
 )
 from ratlam import terms
-from ratlam.terms import _ENTER, _classes, _dfs, _label_key, _lmap, _set_hash, is_finite
+from ratlam.terms import (
+    _ENTER,
+    _classes,
+    _dfs,
+    _label_key,
+    _lmap,
+    _set_hash,
+    _tokenize,
+    is_finite,
+)
 
 from conftest import (
     CORPUS,
@@ -57,6 +66,7 @@ from conftest import (
     rebuilt,
     same_by_walk,
     subterms,
+    tokenize_by_groups,
     unfold_muterm,
 )
 
@@ -204,6 +214,35 @@ def test_shared_interner_keeps_names_distinct():
     g1 = graph_of(parse_term("mu r. f #r", it))
     g2 = graph_of(parse_term("mu r. g #r", it))
     assert not alpha_bisim(g1, g2)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except TermSyntaxError as e:
+        return str(e), e.position
+
+
+_LEXEMES = [
+    "\\", "λ", "μ", "⊥", "_|_", "_", "|", "#", "#r", ".", "(", ")", "'", "$", "{",
+    "x", "f", "y2", "v", "v0", "v1", "v01", "0", "7", "mu", "mux", "mu'", " ", "  ", "\t", "\n",
+]
+
+
+def test_tokenize_agrees_with_the_named_group_tokenizer():
+    rng = random.Random(8)
+    for _ in range(5000):
+        text = "".join(rng.choice(_LEXEMES) for _ in range(rng.randint(0, 12)))
+        got = _tokens_or_error(_tokenize, text)
+        assert got == _tokens_or_error(tokenize_by_groups, text), text
+
+
+def test_tokenize_reads_long_blank_runs_in_linear_time():
+    # a search from every blank of a run costs time quadratic in its length
+    for text in ("v0" + " " * 5000, "v0" + " " * 5000 + "$", "v0" + " " * 5000 + "v1"):
+        start = time.perf_counter()
+        _tokens_or_error(_tokenize, text)
+        assert time.perf_counter() - start < 0.5, text[-1]
 
 
 def _parse_outcome(parse, text):
