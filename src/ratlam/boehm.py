@@ -1,9 +1,11 @@
 """Fuel-bounded head reduction, Böhm-tree prefixes and rationality detection.
 
 A Böhm-tree prefix is `truncate` of the Böhm tree, which head reduction
-yields one constructor at a time.  Whether a term has a head normal form is
-only semi-decidable, so every operation takes an explicit budget; running
-out of fuel is a value (⊥ / unknown), never an error.
+yields one constructor at a time; a rational Böhm tree is `terms.unfold`
+over states (c, k), the k-th constructor of the head normal form of an
+α-canonical term c.  Whether a term has a head normal form is only
+semi-decidable, so every operation takes an explicit budget; running out
+of fuel is a value (⊥ / unknown), never an error.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .nominal import Atom, fresh_atom
 from .substitution import subst_finite
-from .terms import App, Bot, FiniteTerm, Lam, TermGraph, Var, _truncate, fv
+from .terms import App, Bot, FiniteTerm, Lam, TermGraph, Var, _truncate, fv, unfold
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ def _canonicalize(t: FiniteTerm) -> FiniteTerm:
     """Rename binders to the least atoms outside fv(t), in traversal order.
 
     α-equivalent terms with the same free variables get identical results,
-    which makes canonical forms usable as memo keys.  It is idempotent, and a
+    which makes canonical forms usable as state keys.  It is idempotent, and a
     canonical term comes back as the same object: a subterm whose binders
     and free names all stay is returned as it is.
     """
@@ -148,46 +150,53 @@ def _rename_binders(t: FiniteTerm, bound: dict[Atom, Atom], names: Iterator[Atom
             return t if x2 == x and b2 is b else Lam(x2, b2)
 
 
+class _Unknown(Exception):
+    """A Böhm state ran out of fuel, or the states ran past the budget."""
+
+
 def bt_graph(t: FiniteTerm, budget: BtBudget) -> TermGraph | None:
     """Try to build the Böhm tree as a finite graph; None means unknown.
 
-    States are memoized by α-canonical form (free atoms stay concrete); a
-    recurring state becomes a back edge.  Every memo key is canonical, and
-    `_canonicalize` is idempotent, so an argument found in the memo as it is
-    needs no canonicalizing: each state is canonicalized once.  The answer
-    is None exactly when more than `budget.states` states are reachable or
-    one of them runs out of fuel, whatever the visiting order; the Böhm tree
-    may still be rational — this is a semi-decision.
+    The graph is `unfold` over states (c, k): the k-th constructor, as in
+    `_bt_step`, of the head normal form of the α-canonical term c (free
+    atoms stay concrete), numbered breadth first.  An argument term becomes
+    the state (c, 0) of its canonical form c, so a recurring one becomes a
+    back edge.  Each canonical term is head-reduced and counted against
+    `budget.states` when it is first keyed; constructors are not counted.
+    Every key is canonical, and `_canonicalize` is idempotent, so an
+    argument already keyed as it is needs no canonicalizing: each state is
+    canonicalized once.  The answer is None exactly when more than
+    `budget.states` canonical terms are reachable or one of them runs out of
+    fuel, whatever the visiting order; the Böhm tree may still be rational —
+    this is a semi-decision.
     """
-    nodes: dict[int, tuple] = {}
-    memo: dict[FiniteTerm, int] = {_canonicalize(t): 0}
-    pending = list(memo)
-    counter = itertools.count(1)
-    while pending:
-        key = pending.pop()
-        res = head_reduce(key, budget.fuel)
-        if isinstance(res, BottomVerdict):
-            if res.fuel_exhausted:
-                return None  # honest unknown, not a ⊥ claim
-            nodes[memo[key]] = ("bot",)
-            continue
-        # emit the hnf skeleton inside out; its outermost node is the state node
-        ids = [next(counter) for _ in range(len(res.args) + len(res.binders))] + [memo[key]]
-        nodes[ids[0]] = ("var", res.head)
-        for i, arg in enumerate(res.args, 1):
-            state = memo.get(arg)
-            if state is None:
-                arg = _canonicalize(arg)
-                state = memo.get(arg)
-            if state is None:
-                if len(memo) >= budget.states:
-                    return None
-                state = memo[arg] = next(counter)
-                pending.append(arg)
-            nodes[ids[i]] = ("app", ids[i - 1], state)
-        for i, x in enumerate(reversed(res.binders), len(res.args) + 1):
-            nodes[ids[i]] = ("lam", x, ids[i - 1])
-    return TermGraph(nodes, 0)
+    hnfs: dict[FiniteTerm, HnfDecomposition | BottomVerdict] = {}
+
+    def key(t: FiniteTerm) -> tuple:
+        if t not in hnfs and (t := _canonicalize(t)) not in hnfs:
+            if len(hnfs) >= budget.states:
+                raise _Unknown
+            h = hnfs[t] = head_reduce(t, budget.fuel)
+            if isinstance(h, BottomVerdict) and h.fuel_exhausted:
+                raise _Unknown  # honest unknown, not a ⊥ claim
+        return t, 0
+
+    def step(state, child):
+        c, k = state
+        h = hnfs[c]
+        if isinstance(h, BottomVerdict):
+            return ("bot",)
+        n, m = len(h.binders), len(h.args)
+        if k < n:
+            return ("lam", h.binders[k], child((c, k + 1)))
+        if k < n + m:
+            return ("app", child((c, k + 1)), child(key(h.args[n + m - 1 - k])))
+        return ("var", h.head)
+
+    try:
+        return unfold(key(t), step)
+    except _Unknown:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A symbolic coalgebra gives the structure map schema-wise: each orbit gets a
 step view, a λ-tree label over its slots, read once into a function of an
 atom tuple whose children are keys `(schema id, canonical atom tuple)`.
-`c_construct` walks these keys over a name pool of size m+1, producing a
-finite term graph that unfolds to the represented rational λ-tree.
+`c_construct` is `terms.unfold` over these keys on a name pool of size m+1:
+a finite term graph that unfolds to the represented rational λ-tree.
 Instantiating wraps the keys as elements, for a concrete coalgebra whose
 step is a term-graph label with elements in place of node ids:
 `("var", a)`, `("lam", v, elem)` or `("app", l, r)`.
@@ -28,7 +28,7 @@ from .orbits import (
     canonical_tuples,
     slot_identity,
 )
-from .terms import _ATOM_NAME, TermGraph, _classes, _lmap
+from .terms import _ATOM_NAME, TermGraph, _classes, _lmap, unfold
 
 # FRESH marker in step views
 FRESH = None
@@ -240,13 +240,13 @@ def c_construct(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) 
 
     `conc` must be a coalgebra that `instantiate` built.  The name pool W is
     the support of the root padded with least fresh atoms to m+1 names, so
-    every element has some name in W fresh for it.  A node is a key
-    `(schema id, canonical atom tuple)` over W, labelled by its orbit's
-    step on that tuple, with a λ binding W's least name outside the tuple.
-    With a carrier given, which must be the coalgebra's own, the nodes are
-    every such key, numbered by orbit in carrier order and then by tuple;
-    without one, they are the keys reachable from the root, numbered
-    breadth first.
+    every element has some name in W fresh for it.  The graph is `unfold`
+    over keys `(schema id, canonical atom tuple)` over W, each labelled by
+    its orbit's step on that tuple, with a λ binding W's least name outside
+    the tuple.  With a carrier given, which must be the coalgebra's own, the
+    states are every such key, numbered first by orbit in carrier order and
+    then by tuple; without one, they are the keys reachable from the root,
+    numbered breadth first.
     """
     m = conc.support_bound
     if len(root.support()) > m:
@@ -260,26 +260,12 @@ def c_construct(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) 
         raise EscapesCarrier(root)
     pad = fresh_atoms(root.support(), m + 1 - len(root.support()))
     W = frozenset(root.support()) | frozenset(pad)
-    root_key = (sid, root.canonical())
-    if carrier is None:
-        keys = [root_key]
-    else:
+    steps, keys = c._step_fns, ()
+    if carrier is not None:
         pool = sorted(W)
         keys = [(s.id, t) for s in carrier for t in canonical_tuples(s, pool)]
-    ids = {key: i for i, key in enumerate(keys)}
-
-    def node_id(key):
-        if (i := ids.get(key)) is None:
-            i = ids[key] = len(keys)
-            keys.append(key)
-        return i
-
-    steps = c._step_fns
-    # every child of an enumerative node is a node; in reach mode, keys grows
-    # as the walk meets new ones
-    child = node_id if carrier is None else ids.__getitem__
-    labels = [steps[s](t, W, child) for s, t in keys]
-    return TermGraph(dict(enumerate(labels)), ids[root_key])
+    return unfold((sid, root.canonical()), lambda key, child: steps[key[0]](key[1], W, child),
+                  keys)
 
 
 # ---------------------------------------------------------------------------

@@ -115,11 +115,7 @@ def swap(a: Atom, b: Atom) -> Perm:
 
 def fresh_atom(avoid: Iterable[Atom]) -> Atom:
     """The least atom not in avoid."""
-    taken = set(avoid)
-    i = 0
-    while i in taken:
-        i += 1
-    return Atom(i)
+    return fresh_atoms(avoid, 1)[0]
 
 
 def fresh_atoms(avoid: Iterable[Atom], n: int) -> list[Atom]:

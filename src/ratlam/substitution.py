@@ -2,15 +2,15 @@
 corecursive version on rational terms.
 
 A term graph is a coalgebra on pairs of a node and the images of its free
-names.  The rational version unfolds t[v := s] over these states of t and s
-on one worklist, each reached state a node of the result.
+names.  The rational version is `terms.unfold` of t[v := s] over these
+states of t and s, each reached state a node of the result.
 """
 
 from __future__ import annotations
 
 from .nominal import Atom, fresh_atom, fresh_atoms, swap
 from .coalgebra import _free_orders
-from .terms import App, Bot, FiniteTerm, Lam, TermGraph, Var, _lmap, fv
+from .terms import App, Bot, FiniteTerm, Lam, TermGraph, Var, _lmap, fv, unfold
 
 
 # ---------------------------------------------------------------------------
@@ -47,17 +47,18 @@ def subst_finite(t: FiniteTerm, v: Atom, s: FiniteTerm) -> FiniteTerm:
 
 
 def subst_rational(t: TermGraph, v: Atom, s: TermGraph) -> TermGraph:
-    """t[v := s] on rational trees, as one unfold over graph states.
+    """t[v := s] on rational trees, as `unfold` over graph states.
 
     A state is (input, node, the images of the node's free names in
-    `_free_orders` order), input 0 being t and 1 being s; t's root state maps
-    fv(t) to itself.  A state's support is its images, and for a t-state
-    also v and fv(s).  A λ binds the least name of the pool W outside its
-    state's support, where W is fv(t) ∪ {v} ∪ fv(s) padded with least fresh
-    atoms to m+1 names and m bounds every support.  A t-var whose image is v
-    takes the label of s's root with fv(s) mapped to itself, its λ binder
-    still chosen for the t-state.  States are numbered breadth first.  A ⊥
-    reachable in either input is a `ValueError`.
+    `_free_orders` order), input 0 being t and 1 being s; the root state is
+    t's root with fv(t) mapped to itself.  A state's support is its images,
+    and for a t-state also v and fv(s).  A λ binds the least name of the
+    pool W outside its state's support, where W is fv(t) ∪ {v} ∪ fv(s)
+    padded with least fresh atoms to m+1 names and m bounds every support.
+    A t-var whose image is v takes the label of s's root with fv(s) mapped
+    to itself, its λ binder still chosen for the t-state.  `unfold` numbers
+    the states breadth first.  A ⊥ reachable in either input is a
+    `ValueError`.
     """
     graphs, orders = (t, s), (_free_orders(t), _free_orders(s))
     if any(g.nodes[n] == ("bot",) for g, order in zip(graphs, orders) for n in order):
@@ -66,24 +67,16 @@ def subst_rational(t: TermGraph, v: Atom, s: TermGraph) -> TermGraph:
     live = frozenset(orders[0][t.root]).union((v,), fv_s)
     m = max(map(len, orders[0].values())) + 1 + max(map(len, orders[1].values()))
     pool = sorted(live.union(fresh_atoms(live, m + 1 - len(live))))
-    ids: dict[tuple, int] = {}
-    states: list[tuple] = []
 
-    def node_id(side: int, n: int, env: dict) -> int:
-        state = (side, n, tuple([env[a] for a in orders[side][n]]))
-        if (i := ids.get(state)) is None:
-            i = ids[state] = len(states)
-            states.append(state)
-        return i
-
-    node_id(0, t.root, {a: a for a in orders[0][t.root]})
-    labels = []
-    for side, n, images in states:  # read while it grows: a breadth-first queue
+    def step(state, child):
+        side, n, images = state
         label, env = graphs[side].nodes[n], dict(zip(orders[side][n], images))
         support = (*images, v, *fv_s) if side == 0 else images
         if side == 0 and label[0] == "var" and env[label[1]] == v:
             side, label, env = 1, s.nodes[s.root], dict(zip(fv_s, fv_s))
         if label[0] == "lam":
             env[label[1]] = next(a for a in pool if a not in support)
-        labels.append(_lmap(label, env.__getitem__, lambda c: node_id(side, c, env)))
-    return TermGraph(dict(enumerate(labels)), 0)
+        return _lmap(label, env.__getitem__,
+                     lambda c: child((side, c, tuple([env[a] for a in orders[side][c]]))))
+
+    return unfold((0, t.root, orders[0][t.root]), step)

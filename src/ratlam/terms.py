@@ -4,6 +4,8 @@
 explicit stack that decides it for the infinite unfoldings, so it has no
 nesting limit; a finite term is compared through its graph.  `graph_of`,
 `print_graph`, `truncate`, `print_term` and a node's first `fv` still recurse.
+`unfold` is the corecursion principle: the finite graph of the states a
+step function reaches from a root.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable
 
-from .nominal import Atom, Perm
+from .nominal import Atom, Perm, fresh_atom
 
 # ---------------------------------------------------------------------------
 # Term syntax
@@ -236,14 +238,8 @@ class Interner:
         if name in self._by_name:
             return self._by_name[name]
         m = _ATOM_NAME.fullmatch(name)
-        if m:
-            idx = int(m.group(1))
-        else:
-            idx = 0
-            while idx in self._used:
-                idx += 1
-        self._used.add(idx)
-        a = Atom(idx)
+        a = Atom(int(m.group(1))) if m else fresh_atom(self._used)
+        self._used.add(a)
         self._by_name[name] = a
         return a
 
@@ -498,6 +494,26 @@ def _lmap(label: tuple, name: Callable = lambda a: a, child: Callable = lambda c
         case ("app", f, a):
             return ("app", child(f), child(a))
     return label
+
+
+def unfold(root, step: Callable, states=()) -> TermGraph:
+    """The corecursion principle: the graph of the hashable states reached
+    from `root` and the given `states`, one node each.  A state is labelled
+    `step(state, child)`, a graph label whose children are `child(s)`, the
+    node id of state s.  States are numbered as first met: `states` in
+    order, then `root`, then the rest breadth first, on one queue that the
+    loop reads while it grows, so nothing recurses."""
+    ids = {s: i for i, s in enumerate(states)}
+    queue = list(ids)
+
+    def child(s):
+        if (i := ids.get(s)) is None:
+            i = ids[s] = len(queue)
+            queue.append(s)
+        return i
+
+    root = child(root)
+    return TermGraph(dict(enumerate([step(s, child) for s in queue])), root)
 
 
 def graph_of(t: MuTerm) -> TermGraph:

@@ -203,6 +203,17 @@ def test_bt_graph_agrees_with_bt_truncate():
             assert alpha_eq_finite(truncate(g, d), bt_truncate(t, BtBudget(depth=max(d, 1))) if d else BOT)
 
 
+@given(finite_terms)
+def test_bt_graph_agrees_with_bt_truncate_on_random_terms(t):
+    # the unfold over Böhm states against the independent `_truncate` path
+    budget = BtBudget(fuel=16, depth=6, states=16)
+    g = bt_graph(t, budget)
+    if g is not None:
+        for d in range(budget.depth + 1):
+            want = bt_truncate(t, BtBudget(fuel=budget.fuel, depth=d)) if d else BOT
+            assert alpha_eq_finite(truncate(g, d), want)
+
+
 @pytest.mark.parametrize("term, states", [
     (r"\x. x", 1),
     (r"x (\y. y)", 2),

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import pickle
 import random
@@ -22,14 +23,18 @@ from ratlam import (
     UnguardedMu,
     Var,
     alpha_bisim,
+    c_construct,
     fv,
     gen_rsigma,
     graph_of,
+    graph_to_coalgebra,
+    instantiate,
     minimize,
     parse_term,
     print_graph,
     print_term,
     rsigma_count,
+    subst_rational,
     subtree_count,
     swap,
     truncate,
@@ -44,6 +49,7 @@ from ratlam.terms import (
     _set_hash,
     _tokenize,
     is_finite,
+    unfold,
 )
 
 from conftest import (
@@ -450,6 +456,86 @@ def test_graph_act_and_support():
         g = random_term_graph(rng)
         p = random_perm(rng)
         assert g.act(p).support() == frozenset(p(a) for a in g.support())
+
+
+# ---------------------------------------------------------------------------
+# The corecursive unfold
+
+
+def _own_step(g: TermGraph):
+    """A graph's own coalgebra: a node is a state labelled by its label."""
+    return lambda n, child: _lmap(g.nodes[n], child=child)
+
+
+def _unfold_graphs():
+    rng = random.Random(29)
+    graphs = [random_term_graph(rng, rng.randint(1, 9)) for _ in range(300)]
+    return graphs + [gen_rsigma(levels) for levels in (1, 2, 3)]
+
+
+def test_unfold_of_a_graphs_own_coalgebra_is_the_graph():
+    for g in _unfold_graphs():
+        u = unfold(g.root, _own_step(g))
+        assert len(u.nodes) == len(g.reachable())
+        assert print_graph(u) == print_graph(g)
+
+
+def test_unfold_numbers_states_breadth_first_from_the_root():
+    for g in _unfold_graphs():
+        order = [g.root]
+        for n in order:  # a breadth-first queue, read while it grows
+            for c in terms._children(g.nodes[n]):
+                if c not in order:
+                    order.append(c)
+        ids = {n: i for i, n in enumerate(order)}
+        u = unfold(g.root, _own_step(g))
+        assert u.root == 0
+        assert u.nodes == {i: _lmap(g.nodes[n], child=ids.__getitem__) for n, i in ids.items()}
+
+
+def test_unfold_keeps_the_ids_of_pre_numbered_states():
+    # enumerative c_construct numbers every key first; its node ids follow
+    rng = random.Random(31)
+    for g in _unfold_graphs():
+        states = list(g.nodes)
+        rng.shuffle(states)
+        pos = {n: i for i, n in enumerate(states)}
+        u = unfold(g.root, _own_step(g), states)
+        assert u.root == pos[g.root]
+        assert u.nodes == {i: _lmap(g.nodes[n], child=pos.__getitem__)
+                           for i, n in enumerate(states)}
+        # with only some states numbered first, each keeps its id and its tree
+        some = states[:rng.randint(0, len(states))]
+        u = unfold(g.root, _own_step(g), some)
+        assert len(u.nodes) == len({m for n in [*some, g.root]
+                                    for m in TermGraph(g.nodes, n).reachable()})
+        for i, n in enumerate(some):
+            assert truncate(TermGraph(u.nodes, i), 6) == truncate(TermGraph(g.nodes, n), 6)
+
+
+_SUBST_T, _SUBST_S = graph_of(parse_term(CORPUS[4])), graph_of(parse_term(CORPUS[6]))
+_COALGEBRA, _ROOT = graph_to_coalgebra(gen_rsigma(2))
+_CONCRETE = instantiate(_COALGEBRA)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: unfold(0, _own_step(gen_rsigma(2))),
+    lambda: subst_rational(_SUBST_T, Atom(0), _SUBST_S),
+    lambda: subst_rational(gen_rsigma(2), Atom(1), _SUBST_S),
+    lambda: c_construct(_CONCRETE, _ROOT),
+    lambda: c_construct(_CONCRETE, _ROOT, _COALGEBRA.carrier),
+], ids=["unfold", "subst_rational", "subst_rational-rsigma", "c_construct-reach",
+        "c_construct-enum"])
+def test_unfold_calls_leave_no_reference_cycles(call):
+    # a closure handed to unfold that reached itself would keep the call's
+    # state table alive until the cyclic collector next runs
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
