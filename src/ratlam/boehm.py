@@ -98,17 +98,22 @@ def head_reduce(t: FiniteTerm, fuel: int) -> HnfDecomposition | BottomVerdict:
 
 def bt_truncate(t: FiniteTerm, budget: BtBudget) -> FiniteTerm:
     """Depth-bounded prefix of the Böhm tree, ⊥ at cuts and dead ends: the
-    `truncate` of the Böhm tree, read one constructor at a time by `_bt_step`."""
-    return _truncate(lambda s: _bt_step(s, budget.fuel), t, budget.depth, {})
+    `truncate` of the Böhm tree, read one constructor at a time by `_bt_step`.
+    `_truncate` meets a term once per depth it occurs at; `hnfs` keeps each
+    term's head normal form, so each distinct term is head-reduced once."""
+    hnfs: dict[FiniteTerm, HnfDecomposition | BottomVerdict] = {}
+    return _truncate(lambda s: _bt_step(s, budget.fuel, hnfs), t, budget.depth, {})
 
 
-def _bt_step(state, fuel: int) -> tuple:
+def _bt_step(state, fuel: int, hnfs: dict) -> tuple:
     """One constructor of the Böhm tree, as a graph label whose children are
     states.  A state is a term, head-reduced with the whole fuel (⊥ if it has
-    no head normal form within it), or (h, k): the k-th constructor of the
-    head normal form h = λx1…λxn. y N1…Nm, counted from the outside."""
+    no head normal form within it) unless `hnfs` has its result, or (h, k):
+    the k-th constructor of the head normal form h = λx1…λxn. y N1…Nm,
+    counted from the outside."""
     if not isinstance(state, tuple):
-        h = head_reduce(state, fuel)
+        if (h := hnfs.get(state)) is None:
+            h = hnfs[state] = head_reduce(state, fuel)
         if isinstance(h, BottomVerdict):
             return ("bot",)
         state = h, 0

@@ -8,6 +8,7 @@ enumeration are all directly computable from this presentation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -48,6 +49,12 @@ def apply_slot_perm(g: SlotPerm, t: tuple) -> tuple:
     return tuple(t[g[i]] for i in range(len(g)))
 
 
+@functools.cache
+def _identity_group(arity: int) -> frozenset[SlotPerm]:
+    """The stabilizer of every trivial schema of this arity, one shared object."""
+    return frozenset({slot_identity(arity)})
+
+
 @dataclass(frozen=True, init=False, slots=True)
 class OrbitSchema:
     """One orbit: injective `arity`-tuples of atoms modulo `stabilizer`.
@@ -64,15 +71,15 @@ class OrbitSchema:
     _getters: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, id: str, arity: int, stabilizer: frozenset[SlotPerm] | None = None):
-        ident = slot_identity(arity)
-        trivial = stabilizer is None or stabilizer == {ident}
-        if stabilizer is None:
-            stabilizer = frozenset({ident})
-        elif not trivial:
+        identity = _identity_group(arity)
+        trivial = stabilizer is None or stabilizer == identity
+        if trivial:
+            stabilizer = identity
+        else:
             for g in stabilizer:
                 if len(g) != arity or sorted(g) != list(range(arity)):
                     raise NotASubgroup(id, f"{g} is not a permutation of the slots")
-            if ident not in stabilizer:
+            if slot_identity(arity) not in stabilizer:
                 raise NotASubgroup(id, "identity missing")
             for g in stabilizer:
                 if slot_inverse(g) not in stabilizer:

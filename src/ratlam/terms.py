@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable
 
@@ -589,24 +588,29 @@ def _dfs(g: TermGraph):
     """Depth-first search from the root, children in order, on an explicit stack.
 
     Yields (_ENTER, n, None) when n is first reached and (_EDGE, n, c) for
-    each edge n → c whose target was reached before.
+    each edge n → c whose target was reached before.  The stack holds the
+    edges still to follow as flat child, parent int pairs, the parent on top
+    and a node's first edge above its second: popping an edge to a new node
+    pushes that node's edges, so its whole search runs before its next
+    sibling's edge is read.  No iterator or tuple stays alive per node on the
+    search path, which is as deep as the graph.
     """
-    root = g.root
-    seen = {root}
-    yield _ENTER, root, None
-    stack = [(root, iter(_children(g.nodes[root])))]
+    nodes = g.nodes
+    seen = set()
+    stack = [g.root, None]
     while stack:
-        n, kids = stack[-1]
-        for c in kids:
-            if c in seen:
-                yield _EDGE, n, c
-            else:
-                seen.add(c)
-                yield _ENTER, c, None
-                stack.append((c, iter(_children(g.nodes[c]))))
-                break
-        else:
-            stack.pop()
+        n = stack.pop()
+        c = stack.pop()
+        if c in seen:
+            yield _EDGE, n, c
+            continue
+        seen.add(c)
+        yield _ENTER, c, None
+        label = nodes[c]
+        if label[0] == "app":
+            stack += label[2], c, label[1], c
+        elif label[0] == "lam":
+            stack += label[2], c
 
 
 # ---------------------------------------------------------------------------
@@ -654,24 +658,29 @@ def alpha_bisim(g1: TermGraph, g2: TermGraph) -> bool:
     correspond.  Every free occurrence is reached, so only g1's free names are
     needed.  A subtree of a λ-tree has no nontrivial stabilizer, so at most
     one map holds at a node pair: a pair is visited once, and a second map
-    that differs on the node's free names means False.
+    that differs on the node's free names means False.  The stack is three
+    parallel lists, of g1 nodes, g2 nodes and maps, so no pending pair is a
+    tuple that holds a dict and stays tracked by the cyclic collector.
     """
     fv1, nodes1, nodes2 = g1.fv_map(), g1.nodes, g2.nodes
     seen: dict[tuple[int, int], dict[Atom, Atom]] = {}
-    todo = [(g1.root, g2.root, {a: a for a in fv1[g1.root]})]
-    while todo:
-        n1, n2, rho = todo.pop()
-        if (old := seen.get((n1, n2))) is not None:
+    todo1, todo2, maps = [g1.root], [g2.root], [{a: a for a in fv1[g1.root]}]
+    while todo1:
+        n1, n2, rho = todo1.pop(), todo2.pop(), maps.pop()
+        pair = n1, n2
+        if (old := seen.get(pair)) is not None:
             if old is not rho and any(old[a] != rho[a] for a in fv1[n1]):
                 return False
             continue
-        seen[n1, n2] = rho
+        seen[pair] = rho
         l1, l2 = nodes1[n1], nodes2[n2]
         kind = l1[0]
         if kind != l2[0]:
             return False
         if kind == "app":
-            todo += (l1[1], l2[1], rho), (l1[2], l2[2], rho)
+            todo1 += l1[1], l1[2]
+            todo2 += l2[1], l2[2]
+            maps += rho, rho
         elif kind == "lam":
             x1, b1, x2 = l1[1], l1[2], l2[1]
             body = fv1[b1]
@@ -679,7 +688,9 @@ def alpha_bisim(g1: TermGraph, g2: TermGraph) -> bool:
                 return False  # a free name would be captured
             if x1 in body and rho.get(x1) != x2:
                 rho = {**rho, x1: x2}
-            todo.append((b1, l2[2], rho))
+            todo1.append(b1)
+            todo2.append(l2[2])
+            maps.append(rho)
         elif kind == "var" and rho[l1[1]] != l2[1]:
             return False
     return True
@@ -702,57 +713,88 @@ def _classes(g: TermGraph, key: Callable[[int], tuple]) -> dict[int, int]:
     it gets its final class at once, hash-consed from its key and its
     children's classes.  Any other node reaches a cycle, because a child
     without a class is still on the search path or reaches a cycle itself.
-    These nodes start from their keys plus the classes of their finite
-    children, which keeps them apart from every finite class, and blocks are
-    split until the members of each block agree on their children's blocks.
-    A split moves every part but the largest to a new block and re-examines
-    only the predecessors of moved nodes (Hopcroft's smaller half), so a node
-    moves O(log n) times and the whole costs O(n log n) for the n reachable
-    nodes.  A block of one node never splits, so only larger blocks keep a
-    member set.
+    At its exit it joins the block of its key plus the classes of its finite
+    children; once the search ends, these blocks are numbered past the
+    finite classes, which keeps them apart from every finite class.  Blocks
+    are split until the members of each block agree on their children's
+    blocks.  A split moves every part but the largest to a new block and
+    re-examines only the predecessors of moved nodes (Hopcroft's smaller
+    half), so a node moves O(log n) times and the whole costs O(n log n)
+    for the n reachable nodes.
+
+    The search path is as deep as the graph, and the cyclic collector walks
+    every container that stays alive, so nothing here keeps a container per
+    node.  The search stack holds node ids: entering a node pushes it back,
+    then the exit marker None, then its children, last child first; popping
+    the marker exits the node below it.  Predecessors are one linked list
+    per node, threaded through two flat lists, `pred` and `after`, in the
+    order of the edges.  Only a block of two or more nodes keeps a member
+    set, since a block of one never splits, and a part of one node is a
+    1-tuple, not a list.
     """
     nodes = g.nodes
     cls: dict[int, int] = {}
     consed: dict[tuple, int] = {}
     infinite: list[int] = []
-    kids_of = {g.root: _children(nodes[g.root])}
-    stack = [(g.root, iter(kids_of[g.root]))]
-    while stack:
-        n, kids = stack[-1]
-        for c in kids:
-            if c not in kids_of:
-                kids_of[c] = ckids = _children(nodes[c])
-                stack.append((c, iter(ckids)))
-                break
-        else:
-            stack.pop()
-            sig = tuple([cls.get(c) for c in kids_of[n]])
-            if None in sig:
-                infinite.append(n)
-            else:
-                cls[n] = consed.setdefault((key(n), sig), len(consed))
-
+    kids_of: dict[int, tuple[int, ...]] = {}
     block: dict[int, int] = {}
-    members: dict[int, list[int]] = defaultdict(list)
-    preds: dict[int, list[int]] = {n: [] for n in infinite}
     seeds: dict[tuple, int] = {}
-    for n in infinite:
-        kids = kids_of[n]
-        for c in kids:
-            if c in preds:
-                preds[c].append(n)
-        k = (key(n), tuple([cls.get(c) for c in kids]))
-        b = block[n] = seeds.setdefault(k, len(consed) + len(seeds))
-        members[b].append(n)
-    multi = {b: set(ms) for b, ms in members.items() if len(ms) > 1}
-    fresh = itertools.count(len(consed) + len(seeds))
+    first: list[int] = []  # block → its first member
+    multi: dict[int, set[int]] = {}  # block of two or more → its members
+    stack = [g.root]
+    while stack:
+        n = stack.pop()
+        if n is None:
+            n = stack.pop()
+            sig = tuple(map(cls.get, kids_of[n]))
+            if None not in sig:
+                cls[n] = consed.setdefault((key(n), sig), len(consed))
+                continue
+            infinite.append(n)
+            b = block[n] = seeds.setdefault((key(n), sig), len(seeds))
+            if b == len(first):
+                first.append(n)
+            elif b in multi:
+                multi[b].add(n)
+            else:
+                multi[b] = {first[b], n}
+        elif n not in kids_of:
+            kids_of[n] = kids = _children(nodes[n])
+            stack += n, None
+            stack += kids[::-1]
+    base = len(consed)
+    block = {n: b + base for n, b in block.items()}
+    multi = {b + base: ms for b, ms in multi.items()}
+
+    # head[c] is c's first edge; edge e runs from pred[e], and after[e] is
+    # the next edge into the same node, or -1.  Threaded back to front, each
+    # list reads in the order of the edges.
+    head: dict[int, int] = {}
+    pred: list[int] = []
+    after: list[int] = []
+    for n in reversed(infinite):
+        for c in reversed(kids_of[n]):
+            if c in block:
+                after.append(head.get(c, -1))
+                head[c] = len(pred)
+                pred.append(n)
+    fresh = itertools.count(base + len(seeds))
     dirty = set(infinite)
     while dirty:
-        touched: dict[int, dict[tuple, list[int]]] = defaultdict(lambda: defaultdict(list))
+        touched: dict[int, dict[tuple, tuple[int] | list[int]]] = {}
         for n in dirty:
             b = block[n]
             if len(multi.get(b, ())) > 1:
-                touched[b][tuple([block.get(c) for c in kids_of[n]])].append(n)
+                if (groups := touched.get(b)) is None:
+                    groups = touched[b] = {}
+                sig = tuple(map(block.get, kids_of[n]))
+                part = groups.get(sig)
+                if part is None:
+                    groups[sig] = (n,)
+                elif type(part) is tuple:
+                    groups[sig] = [part[0], n]
+                else:
+                    part.append(n)
         moved: list[int] = []
         for b, groups in touched.items():
             ms = multi[b]
@@ -772,7 +814,12 @@ def _classes(g: TermGraph, key: Callable[[int], tuple]) -> dict[int, int]:
                 for n in part:
                     block[n] = nb
                 moved += part
-        dirty = {p for n in moved for p in preds[n]}
+        dirty = set()
+        for n in moved:
+            e = head.get(n, -1)
+            while e >= 0:
+                dirty.add(pred[e])
+                e = after[e]
     cls.update(block)
     return cls
 
@@ -792,9 +839,15 @@ def subtree_count(g: TermGraph) -> int:
 
 def minimize(g: TermGraph) -> TermGraph:
     """Merge nodes with literally equal unfoldings; one node per subtree."""
-    cls = _classes(g, lambda n: _label_key(g.nodes[n]))
+    labels = g.nodes
+    cls = _classes(g, lambda n: _label_key(labels[n]))
     nodes: dict[int, tuple] = {}
     for n, c in cls.items():
         if c not in nodes:
-            nodes[c] = _lmap(g.nodes[n], child=cls.__getitem__)
+            label = labels[n]
+            if label[0] == "app":
+                label = ("app", cls[label[1]], cls[label[2]])
+            elif label[0] == "lam":
+                label = ("lam", label[1], cls[label[2]])
+            nodes[c] = label
     return TermGraph(nodes, cls[g.root])

@@ -117,6 +117,15 @@ def test_bt_truncate_of_s():
     assert alpha_eq_finite(got5, parse_term(r"\v1. \v2. (v1 (\v1. _|_)) v2"))
 
 
+def test_bt_truncate_head_reduces_each_distinct_term_once(monkeypatch):
+    # S's Böhm tree is rational over two terms, met at every depth down to 128
+    calls = []
+    reduce = boehm.head_reduce
+    monkeypatch.setattr(boehm, "head_reduce", lambda t, fuel: calls.append(t) or reduce(t, fuel))
+    bt_truncate(gen_s(), BtBudget(depth=128))
+    assert len(calls) == 2
+
+
 def test_bt_truncate_agrees_with_spine_oracle():
     rng = random.Random(20)
     terms = [random_finite_term(rng, 5) for _ in range(300)]
@@ -239,7 +248,7 @@ def test_bt_graph_unknown_on_growing_fronts():
 
 
 def test_bt_graph_canonicalizes_each_state_at_most_once(monkeypatch):
-    # an argument already in the memo is a canonical key, so only new
+    # bt_graph's key returns an argument already keyed as it is, so only new
     # states and non-canonical repeats reach _canonicalize: 64 states and
     # the one that exceeds the budget
     calls = []
@@ -251,8 +260,9 @@ def test_bt_graph_canonicalizes_each_state_at_most_once(monkeypatch):
 
 @given(finite_terms)
 def test_canonicalize_is_idempotent(t):
-    # bt_graph's memo shortcut rests on this: a canonical term is its own
-    # canonical form, returned as the same object
+    # bt_graph's key skips canonicalizing a term it has already keyed, which
+    # rests on this: a canonical term is its own canonical form, returned as
+    # the same object
     c = _canonicalize(t)
     assert _canonicalize(c) == c
     assert _canonicalize(c) is c

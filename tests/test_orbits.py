@@ -25,6 +25,15 @@ def test_validate_accepts_trivial_and_full_stabilizers():
     OrbitSet((OrbitSchema("v", 1), OrbitSchema("p", 2, S2), OrbitSchema("t", 3, S3)))
 
 
+def test_trivial_schemas_of_one_arity_share_their_stabilizer():
+    a, b = OrbitSchema("a", 3), OrbitSchema("b", 3, frozenset({(0, 1, 2)}))
+    assert a.stabilizer is b.stabilizer == frozenset({(0, 1, 2)})
+    assert a.trivial and b.trivial
+    assert OrbitSchema("a", 3, frozenset({(0, 1, 2)})) == a != b
+    assert hash(OrbitSchema("a", 3, frozenset({(0, 1, 2)}))) == hash(a)
+    assert OrbitSchema("a", 2).stabilizer == frozenset({(0, 1)})
+
+
 def test_validate_rejects_non_closed_stabilizer():
     # {id, (1 2 3)} misses the inverse rotation
     with pytest.raises(NotASubgroup, match="inverse of"):

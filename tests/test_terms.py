@@ -57,6 +57,7 @@ from conftest import (
     alpha_bisim_by_fixpoint,
     alpha_eq_finite,
     bisim_check,
+    dfs_by_iterators,
     finite_terms,
     fv_by_walk,
     fv_map_by_rounds,
@@ -834,6 +835,7 @@ def test_graph_core_agrees_with_reference_algorithms():
         for h in (g, glued(g)):
             order = h.reachable()
             assert order == reachable_by_stack(h)
+            assert list(_dfs(h)) == list(dfs_by_iterators(h))
             cls = _classes(h, lambda n: _label_key(h.nodes[n]))
             numbered: dict[int, int] = {}
             got = {n: numbered.setdefault(cls[n], len(numbered)) for n in order}
@@ -846,6 +848,9 @@ def test_graph_core_agrees_with_reference_algorithms():
             k = len({cls[n] for n in finite})
             assert {cls[n] for n in finite} == set(range(k))
             assert all(cls[n] >= k for n in order if n not in finite)
+    for levels in (1, 2, 3):
+        g = gen_rsigma(levels)
+        assert list(_dfs(g)) == list(dfs_by_iterators(g))
 
 
 def test_classes_computes_each_nodes_children_once(monkeypatch):
@@ -884,3 +889,10 @@ def test_graph_core_scales_to_10k_nodes():
     chain, ring = _chain(10_000), _ring(5_000)
     assert subtree_count(chain) == len(minimize(chain).nodes) == 10_000
     assert subtree_count(ring) == len(minimize(ring).nodes) == 5_002
+    # one call each way: on the ring, the fv_map inside each call takes seconds,
+    # since its sweeps carry a name one ring node further per sweep
+    rng = random.Random(89)
+    for g, leaf in ((chain, 9_999), (ring, 5_001)):
+        copy = _relabeled(rng, g, {})
+        assert alpha_bisim(copy, g)
+        assert not alpha_bisim(TermGraph({**g.nodes, leaf: ("var", Atom(2))}, g.root), copy)
