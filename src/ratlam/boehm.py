@@ -1,9 +1,9 @@
 """Fuel-bounded head reduction, Böhm-tree prefixes and rationality detection.
 
-A Böhm-tree prefix is `truncate` of the Böhm tree, which head reduction
-yields one constructor at a time; a rational Böhm tree is `terms.unfold`
-over states (c, k), the k-th constructor of the head normal form of an
-α-canonical term c.  Whether a term has a head normal form is only
+The Böhm tree is read off one step, `_bt_step`, over states (c, k): the
+k-th constructor of the head normal form of the term c.  A Böhm-tree prefix
+is `terms._truncate` of that step, and a rational Böhm tree is its
+`terms.unfold` with every term made α-canonical.  Whether a term has a head normal form is only
 semi-decidable, so every operation takes an explicit budget; running out
 of fuel is a value (⊥ / unknown), never an error.
 """
@@ -11,8 +11,8 @@ of fuel is a value (⊥ / unknown), never an error.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 
 from .nominal import Atom, fresh_atom
 from .substitution import subst_finite
@@ -21,20 +21,11 @@ from .terms import App, Bot, FiniteTerm, Lam, TermGraph, Var, _truncate, fv, unf
 
 @dataclass(frozen=True)
 class HnfDecomposition:
-    """λx1…λxn. y N1 … Nm, split into binders, head variable and arguments.
-
-    The hash is the dataclass's, kept the first time it is asked: a
-    Böhm-tree prefix hashes the same decomposition once per constructor."""
+    """λx1…λxn. y N1 … Nm, split into binders, head variable and arguments."""
 
     binders: tuple[Atom, ...]
     head: Atom
     args: tuple[FiniteTerm, ...]
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.binders, self.head, self.args)))
-        return self._hash
 
     def term(self) -> FiniteTerm:
         return _unspine(self.binders, Var(self.head), self.args)
@@ -97,33 +88,36 @@ def head_reduce(t: FiniteTerm, fuel: int) -> HnfDecomposition | BottomVerdict:
 
 
 def bt_truncate(t: FiniteTerm, budget: BtBudget) -> FiniteTerm:
-    """Depth-bounded prefix of the Böhm tree, ⊥ at cuts and dead ends: the
-    `truncate` of the Böhm tree, read one constructor at a time by `_bt_step`.
-    `_truncate` meets a term once per depth it occurs at; `hnfs` keeps each
-    term's head normal form, so each distinct term is head-reduced once."""
-    hnfs: dict[FiniteTerm, HnfDecomposition | BottomVerdict] = {}
-    return _truncate(lambda s: _bt_step(s, budget.fuel, hnfs), t, budget.depth, {})
+    """Depth-bounded prefix of the Böhm tree, ⊥ at cuts and dead ends:
+    `_truncate` of `_bt_step` from the state (t, 0), where an argument N
+    becomes the state (N, 0).  `_truncate` meets a term once per depth it
+    occurs at, and `_bt_step` head-reduces each distinct term once; an
+    argument at or past the cut is never head-reduced."""
+    return _truncate(_bt_step(budget.fuel, lambda a: (a, 0), {}), (t, 0), budget.depth, {})
 
 
-def _bt_step(state, fuel: int, hnfs: dict) -> tuple:
-    """One constructor of the Böhm tree, as a graph label whose children are
-    states.  A state is a term, head-reduced with the whole fuel (⊥ if it has
-    no head normal form within it) unless `hnfs` has its result, or (h, k):
-    the k-th constructor of the head normal form h = λx1…λxn. y N1…Nm,
-    counted from the outside."""
-    if not isinstance(state, tuple):
-        if (h := hnfs.get(state)) is None:
-            h = hnfs[state] = head_reduce(state, fuel)
+def _bt_step(fuel: int, arg: Callable[[FiniteTerm], tuple], hnfs: dict) -> Callable:
+    """The Böhm coalgebra as an `unfold` step over states (c, k): the k-th
+    constructor, counted from the outside, of the head normal form
+    h = λx1…λxn. y N1…Nm of the term c, or ⊥ if c has none within `fuel`.
+    c is head-reduced the first time one of its states is labelled, unless
+    `hnfs` has its result already, and the result is kept there.  An
+    argument N becomes the state `arg(N)`."""
+
+    def step(state, child):
+        c, k = state
+        if (h := hnfs.get(c)) is None:
+            h = hnfs[c] = head_reduce(c, fuel)
         if isinstance(h, BottomVerdict):
             return ("bot",)
-        state = h, 0
-    h, k = state
-    n, m = len(h.binders), len(h.args)
-    if k < n:
-        return ("lam", h.binders[k], (h, k + 1))
-    if k < n + m:
-        return ("app", (h, k + 1), h.args[n + m - 1 - k])
-    return ("var", h.head)
+        n, m = len(h.binders), len(h.args)
+        if k < n:
+            return ("lam", h.binders[k], child((c, k + 1)))
+        if k < n + m:
+            return ("app", child((c, k + 1)), child(arg(h.args[n + m - 1 - k])))
+        return ("var", h.head)
+
+    return step
 
 
 def _canonicalize(t: FiniteTerm) -> FiniteTerm:
@@ -162,11 +156,11 @@ class _Unknown(Exception):
 def bt_graph(t: FiniteTerm, budget: BtBudget) -> TermGraph | None:
     """Try to build the Böhm tree as a finite graph; None means unknown.
 
-    The graph is `unfold` over states (c, k): the k-th constructor, as in
-    `_bt_step`, of the head normal form of the α-canonical term c (free
-    atoms stay concrete), numbered breadth first.  An argument term becomes
-    the state (c, 0) of its canonical form c, so a recurring one becomes a
-    back edge.  Each canonical term is head-reduced and counted against
+    The graph is `unfold` of `_bt_step`, the step that `bt_truncate` cuts,
+    over states (c, k) of α-canonical terms c (free atoms stay concrete),
+    numbered breadth first.  `key` turns an argument term into the state
+    (c, 0) of its canonical form c, so a recurring one becomes a back edge.
+    Each canonical term is head-reduced and counted against
     `budget.states` when it is first keyed; constructors are not counted.
     Every key is canonical, and `_canonicalize` is idempotent, so an
     argument already keyed as it is needs no canonicalizing: each state is
@@ -186,20 +180,8 @@ def bt_graph(t: FiniteTerm, budget: BtBudget) -> TermGraph | None:
                 raise _Unknown  # honest unknown, not a ⊥ claim
         return t, 0
 
-    def step(state, child):
-        c, k = state
-        h = hnfs[c]
-        if isinstance(h, BottomVerdict):
-            return ("bot",)
-        n, m = len(h.binders), len(h.args)
-        if k < n:
-            return ("lam", h.binders[k], child((c, k + 1)))
-        if k < n + m:
-            return ("app", child((c, k + 1)), child(key(h.args[n + m - 1 - k])))
-        return ("var", h.head)
-
     try:
-        return unfold(key(t), step)
+        return unfold(key(t), _bt_step(budget.fuel, key, hnfs))
     except _Unknown:
         return None
 

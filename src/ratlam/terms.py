@@ -622,25 +622,32 @@ def truncate(g: TermGraph, depth: int) -> FiniteTerm:
 
     The root sits at depth 0, so truncate(·, 0) is ⊥.
     """
-    return _truncate(g.nodes.__getitem__, g.root, depth, {})
+    nodes = g.nodes
+    return _truncate(lambda n, child: nodes[n], g.root, depth, {})
 
 
-def _truncate(label: Callable[..., tuple], n, d: int, memo: dict) -> FiniteTerm:
-    """Cut the tree from state n at depth d; `label` gives a state's node, its children states."""
+def _identity(s):
+    return s
+
+
+def _truncate(step: Callable[..., tuple], n, d: int, memo: dict) -> FiniteTerm:
+    """Cut the tree from state n at depth d.  `step` is an `unfold` step,
+    asked with `child` the identity, so a label's children are states; a
+    state is labelled only if it lies above the cut."""
     if d <= 0:
         return BOT
     key = (n, d)
     if key in memo:
         return memo[key]
-    match label(n):
+    match step(n, _identity):
         case ("var", a):
             out: FiniteTerm = Var(a)
         case ("bot",):
             out = BOT
         case ("lam", x, b):
-            out = Lam(x, _truncate(label, b, d - 1, memo))
+            out = Lam(x, _truncate(step, b, d - 1, memo))
         case ("app", f, a):
-            out = App(_truncate(label, f, d - 1, memo), _truncate(label, a, d - 1, memo))
+            out = App(_truncate(step, f, d - 1, memo), _truncate(step, a, d - 1, memo))
     memo[key] = out
     return out
 

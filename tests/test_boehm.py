@@ -126,6 +126,16 @@ def test_bt_truncate_head_reduces_each_distinct_term_once(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("depth, reduced, want", [(1, 1, "_|_ _|_"), (2, 2, "v0 _|_")])
+def test_bt_truncate_never_head_reduces_past_the_cut(monkeypatch, depth, reduced, want):
+    # the argument Ω is head-reduced only once its state lies above the cut
+    calls = []
+    reduce = boehm.head_reduce
+    monkeypatch.setattr(boehm, "head_reduce", lambda t, fuel: calls.append(t) or reduce(t, fuel))
+    got = bt_truncate(parse_term(r"v0 ((\x. x x) (\x. x x))"), BtBudget(depth=depth))
+    assert (len(calls), print_term(got)) == (reduced, want)
+
+
 def test_bt_truncate_agrees_with_spine_oracle():
     rng = random.Random(20)
     terms = [random_finite_term(rng, 5) for _ in range(300)]
@@ -214,13 +224,15 @@ def test_bt_graph_agrees_with_bt_truncate():
 
 @given(finite_terms)
 def test_bt_graph_agrees_with_bt_truncate_on_random_terms(t):
-    # the unfold over Böhm states against the independent `_truncate` path
+    # `unfold` and `_truncate` of the one Böhm step agree with each other,
+    # and with the spine oracle, which shares no code with either
     budget = BtBudget(fuel=16, depth=6, states=16)
     g = bt_graph(t, budget)
     if g is not None:
         for d in range(budget.depth + 1):
             want = bt_truncate(t, BtBudget(fuel=budget.fuel, depth=d)) if d else BOT
             assert alpha_eq_finite(truncate(g, d), want)
+            assert alpha_eq_finite(truncate(g, d), bt_truncate_by_spine(t, budget.fuel, d))
 
 
 @pytest.mark.parametrize("term, states", [
