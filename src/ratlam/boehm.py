@@ -3,9 +3,10 @@
 The Böhm tree is read off one step, `_bt_step`, over states (c, k): the
 k-th constructor of the head normal form of the term c.  A Böhm-tree prefix
 is `terms._truncate` of that step, and a rational Böhm tree is its
-`terms.unfold` with every term made α-canonical.  Whether a term has a head normal form is only
-semi-decidable, so every operation takes an explicit budget; running out
-of fuel is a value (⊥ / unknown), never an error.
+`terms.unfold` with every term made α-canonical.  Whether a term has a
+head normal form is only semi-decidable, so every operation takes an
+explicit budget; running out of fuel is a value (⊥ / unknown), never an
+error.
 """
 
 from __future__ import annotations
