@@ -221,8 +221,10 @@ class Interner:
 
     Identifiers spelled as an atom prints, v0, v1, ..., map to that atom
     directly; any other identifier, v01 included, gets the least atom index
-    not yet in use.  Sharing one interner across several parses keeps
-    distinct names distinct.
+    not yet in use.  Sharing one interner across several parses maps each
+    name to one atom, but a text's atom names are reserved only when that
+    text is parsed: a name interned from an earlier text may hold an atom
+    that a later text spells out, and then the two denote the same atom.
     """
 
     def __init__(self):
@@ -385,7 +387,7 @@ class TermGraph:
     """
 
     def __init__(self, nodes: dict[int, tuple], root: int):
-        # the labels `_children` accepts, each child checked as it is read
+        # the λ-tree labels only, each child checked as it is read
         for nid, label in nodes.items():
             match label:
                 case ("app", f, a):
@@ -407,22 +409,8 @@ class TermGraph:
 
     def reachable(self) -> list[int]:
         """The nodes reachable from the root, in depth-first preorder with
-        children in order: the order in which `_dfs` enters them.  One loop
-        on an explicit stack pops a node, skips it if seen, else records it
-        and pushes its children in reverse."""
-        nodes, seen = self.nodes, {}
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen[n] = None
-            label = nodes[n]
-            if label[0] == "app":
-                stack += label[2], label[1]
-            elif label[0] == "lam":
-                stack.append(label[2])
-        return list(seen)
+        children in order: the preorder of `_search`."""
+        return list(_search(self)[0])
 
     def fv_map(self) -> dict[int, frozenset[Atom]]:
         """Free variables per node: least fixpoint of the structural equations.
@@ -470,15 +458,9 @@ class TermGraph:
 
 
 def _children(label: tuple) -> tuple[int, ...]:
-    """The children of a label; a label of no λ-tree kind and arity is a ValueError."""
-    match label:
-        case ("lam", _, b):
-            return (b,)
-        case ("app", f, a):
-            return (f, a)
-        case ("var", _) | ("bot",):
-            return ()
-    raise ValueError(f"malformed label {label!r}")
+    """The children of a graph label: what follows its kind and its atom,
+    where it has one."""
+    return label[1:] if label[0] == "app" else label[2:]
 
 
 def _lmap(label: tuple, name: Callable = lambda a: a, child: Callable = lambda c: c) -> tuple:
@@ -546,71 +528,59 @@ def _graph_node(t: MuTerm, env: dict[str, int], nodes: dict[int, tuple], counter
 def print_graph(g: TermGraph) -> str:
     """Print a graph as a μ-term.
 
-    One depth-first search from the root, children in order, finds the nodes
-    it reaches a second time.  Each gets one μ at its first visit, labelled
-    r0, r1, ... in preorder, and a #ref at every later one.  A #ref reached
-    by a back edge, to a node still on the search path, lies inside its μ.
-    One reached by a forward or cross edge, to a node in an earlier sibling
-    branch that the search has finished, lies outside it, and the term does
-    not parse back.  O(n) time and memory in the n reachable nodes.
+    A node is shared when it has two or more in-edges from reachable nodes,
+    the root's entry counting as one: exactly the nodes `_search` pops a
+    second time.  Each gets one μ at its first visit, labelled r0, r1, ... in
+    preorder, and a #ref at every later one.  A #ref reached by a back edge,
+    to a node still on the search path, lies inside its μ.  One reached by a
+    forward or cross edge, to a node in an earlier sibling branch that the
+    search has finished, lies outside it, and the term does not parse back.
+    O(n) time and memory in the n reachable nodes.
     """
-    order: list[int] = []
-    shared: set[int] = set()
-    for kind, n, m in _dfs(g):
-        if kind == _ENTER:
-            order.append(n)
-        elif kind == _EDGE:
-            shared.add(m)
-    labels = {n: f"r{i}" for i, n in enumerate(n for n in order if n in shared)}
-    return print_term(_mu_term(g, g.root, labels, set()))
+    return print_term(_mu_term(g, g.root, _search(g)[1], {}))
 
 
-def _mu_term(g: TermGraph, n: int, labels: dict[int, str], emitted: set[int]) -> MuTerm:
-    if n in labels and n in emitted:
+def _mu_term(g: TermGraph, n: int, shared: set[int], labels: dict[int, str]) -> MuTerm:
+    """The μ-term of node n; a shared node gets the next label, r0, r1, ...,
+    the first time it is emitted, which is in preorder."""
+    if n in labels:
         return Ref(labels[n])
-    emitted.add(n)
+    if n in shared:
+        labels[n] = f"r{len(labels)}"
     match g.nodes[n]:
         case ("var", a):
             body: MuTerm = Var(a)
         case ("bot",):
             body = BOT
         case ("lam", x, b):
-            body = Lam(x, _mu_term(g, b, labels, emitted))
+            body = Lam(x, _mu_term(g, b, shared, labels))
         case ("app", f, a):
-            body = App(_mu_term(g, f, labels, emitted), _mu_term(g, a, labels, emitted))
-    return Mu(labels[n], body) if n in labels else body
+            body = App(_mu_term(g, f, shared, labels), _mu_term(g, a, shared, labels))
+    return Mu(labels[n], body) if n in shared else body
 
 
-_ENTER, _EDGE = range(2)
-
-
-def _dfs(g: TermGraph):
-    """Depth-first search from the root, children in order, on an explicit stack.
-
-    Yields (_ENTER, n, None) when n is first reached and (_EDGE, n, c) for
-    each edge n → c whose target was reached before.  The stack holds the
-    edges still to follow as flat child, parent int pairs, the parent on top
-    and a node's first edge above its second: popping an edge to a new node
-    pushes that node's edges, so its whole search runs before its next
-    sibling's edge is read.  No iterator or tuple stays alive per node on the
-    search path, which is as deep as the graph.
+def _search(g: TermGraph) -> tuple[dict[int, None], set[int]]:
+    """Depth-first search from the root, children in order, on an explicit
+    stack of node ids: pop a node, skip it if seen, else record it and push
+    its children in reverse.  Returns the nodes in preorder, as the keys of
+    a dict, and the set of nodes popped a second time.  A node is pushed
+    once per edge into it from a reachable node, and the root once more, so
+    the second set holds the nodes with two or more such in-edges.
     """
-    nodes = g.nodes
-    seen = set()
-    stack = [g.root, None]
+    nodes, seen, again = g.nodes, {}, set()
+    stack = [g.root]
     while stack:
         n = stack.pop()
-        c = stack.pop()
-        if c in seen:
-            yield _EDGE, n, c
+        if n in seen:
+            again.add(n)
             continue
-        seen.add(c)
-        yield _ENTER, c, None
-        label = nodes[c]
+        seen[n] = None
+        label = nodes[n]
         if label[0] == "app":
-            stack += label[2], c, label[1], c
+            stack += label[2], label[1]
         elif label[0] == "lam":
-            stack += label[2], c
+            stack.append(label[2])
+    return seen, again
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,6 @@ from ratlam import (
 )
 from ratlam.orbits import apply_slot_perm
 from ratlam.terms import (
-    _EDGE,
-    _ENTER,
     FiniteTerm,
     MuTerm,
     _children,
@@ -230,11 +228,11 @@ def glued(g: TermGraph) -> TermGraph:
 
 # ---------------------------------------------------------------------------
 # Reference algorithms for the graph core, for small graphs: a preorder on its
-# own stack for TermGraph.reachable, a search on a stack of child iterators for
-# ratlam.terms._dfs, rounds that allocate a set per node for TermGraph.fv_map,
-# round-based refinement for ratlam.terms._classes under the literal key, and
-# a print_graph that places its μs by in-degrees, the transitive closure and a
-# recursive scan.
+# own stack for TermGraph.reachable, rounds that allocate a set per node for
+# TermGraph.fv_map, round-based refinement for ratlam.terms._classes under the
+# literal key, and a print_graph that places its μs by in-degrees, the
+# transitive closure and a recursive scan rather than by the nodes that
+# ratlam.terms._search pops twice.
 
 
 def reachable_by_stack(g: TermGraph) -> list[int]:
@@ -251,28 +249,6 @@ def reachable_by_stack(g: TermGraph) -> list[int]:
         seen.append(n)
         stack.extend(reversed(_children(g.nodes[n])))
     return seen
-
-
-def dfs_by_iterators(g: TermGraph):
-    """ratlam.terms._dfs on a stack of (node, iterator over its children)
-    pairs: yields (_ENTER, n, None) when n is first reached and (_EDGE, n, c)
-    for each edge n → c whose target was reached before."""
-    root = g.root
-    seen = {root}
-    yield _ENTER, root, None
-    stack = [(root, iter(_children(g.nodes[root])))]
-    while stack:
-        n, kids = stack[-1]
-        for c in kids:
-            if c in seen:
-                yield _EDGE, n, c
-            else:
-                seen.add(c)
-                yield _ENTER, c, None
-                stack.append((c, iter(_children(g.nodes[c]))))
-                break
-        else:
-            stack.pop()
 
 
 def literal_classes_by_rounds(g: TermGraph) -> dict[int, int]:

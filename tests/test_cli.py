@@ -81,6 +81,16 @@ def test_alpha_eq_shares_interner_between_terms():
     assert code == 1
 
 
+@pytest.mark.xfail(strict=True, reason="parse_term reserves the atom names of one text at a "
+                   "time, so x, interned first, takes v0 before a later text reserves it")
+@pytest.mark.parametrize("argv, expected", [
+    (["alpha-eq", "x", "v0"], (1, "false\n")),
+    (["subst", "-v", "x", "x v0", "v1"], (0, "v1 v0\n")),
+])
+def test_a_name_interned_early_stays_apart_from_a_later_texts_atom_names(argv, expected):
+    assert _run(argv) == expected
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["print", r"\v01. v1"], (0, "# v01 = v0\n\\v0. v1\n")),
     (["alpha-eq", r"\v01. v1", r"\v1. v1"], (1, "false\n")),

@@ -41,9 +41,7 @@ from ratlam import (
 )
 from ratlam import terms
 from ratlam.terms import (
-    _ENTER,
     _classes,
-    _dfs,
     _label_key,
     _lmap,
     _set_hash,
@@ -57,7 +55,6 @@ from conftest import (
     alpha_bisim_by_fixpoint,
     alpha_eq_finite,
     bisim_check,
-    dfs_by_iterators,
     finite_terms,
     fv_by_walk,
     fv_map_by_rounds,
@@ -393,6 +390,16 @@ def test_print_graph_roundtrip():
         # the unfoldings are literally equal, not merely alpha-equivalent
         for d in (4, 8):
             assert truncate(g, d) == truncate(g2, d)
+
+
+def test_print_graph_names_the_nodes_with_two_in_edges_from_reachable_nodes():
+    x, v = Atom(0), ("var", Atom(0))
+    # node 2 is unreachable, so its edges into the root and the leaf add no μ
+    assert print_graph(TermGraph({0: ("lam", x, 1), 1: v, 2: ("app", 0, 1)}, 0)) == r"\v0. v0"
+    # the root's entry counts as an in-edge
+    assert print_graph(TermGraph({0: ("lam", x, 0)}, 0)) == r"mu r0. \v0. #r0"
+    # two edges from one node; a forward edge leaves the #ref outside its μ
+    assert print_graph(TermGraph({0: ("app", 1, 1), 1: v}, 0)) == "(mu r0. v0) #r0"
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +815,7 @@ def test_minimize():
             assert truncate(m, d) == truncate(g, d)
 
 
-def test_reachable_is_the_order_in_which_dfs_enters_nodes():
+def test_reachable_is_the_preorder_of_a_stack_search():
     # carrier order, and so the numbering of enumerative c_construct, follows it
     rng = random.Random(73)
     seen = set()
@@ -816,7 +823,7 @@ def test_reachable_is_the_order_in_which_dfs_enters_nodes():
         g = _random_graph(rng, rng.randint(1, 12))
         for h in (g, glued(g)):
             order = h.reachable()
-            assert order == [n for kind, n, _ in _dfs(h) if kind == _ENTER]
+            assert order == reachable_by_stack(h)
             reach = reach_by_closure(h)
             kids = [c for n in order for c in terms._children(h.nodes[n])]
             if any(n in reach[n] for n in order):
@@ -835,7 +842,6 @@ def test_graph_core_agrees_with_reference_algorithms():
         for h in (g, glued(g)):
             order = h.reachable()
             assert order == reachable_by_stack(h)
-            assert list(_dfs(h)) == list(dfs_by_iterators(h))
             cls = _classes(h, lambda n: _label_key(h.nodes[n]))
             numbered: dict[int, int] = {}
             got = {n: numbered.setdefault(cls[n], len(numbered)) for n in order}
@@ -850,7 +856,7 @@ def test_graph_core_agrees_with_reference_algorithms():
             assert all(cls[n] >= k for n in order if n not in finite)
     for levels in (1, 2, 3):
         g = gen_rsigma(levels)
-        assert list(_dfs(g)) == list(dfs_by_iterators(g))
+        assert print_graph(g) == print_graph_by_scan(g)
 
 
 def test_classes_computes_each_nodes_children_once(monkeypatch):
