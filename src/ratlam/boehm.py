@@ -86,6 +86,8 @@ def head_reduce(t: FiniteTerm, fuel: int) -> HnfDecomposition | BottomVerdict:
                     return BottomVerdict(fuel_exhausted=True)
                 fuel -= 1
                 t = _unspine(binders, subst_finite(b, x, args[0]), args[1:])
+            case _:
+                raise TypeError(f"not a finite term: {head!r}")
 
 
 def bt_truncate(t: FiniteTerm, budget: BtBudget) -> FiniteTerm:
@@ -148,6 +150,7 @@ def _rename_binders(t: FiniteTerm, bound: dict[Atom, Atom], names: Iterator[Atom
             x2 = next(names)
             b2 = _rename_binders(b, {**bound, x: x2}, names)
             return t if x2 == x and b2 is b else Lam(x2, b2)
+    raise TypeError(f"not a finite term: {t!r}")
 
 
 class _Unknown(Exception):

@@ -630,24 +630,30 @@ def alpha_bisim(g1: TermGraph, g2: TermGraph) -> bool:
     """True iff the infinite unfoldings of g1 and g2 are α-equivalent.
 
     Walks node pairs from the roots on an explicit stack, each with a map from
-    g1's free names to g2's, starting from the identity.  A λ pair maps its
-    binders to each other and fails on capture; a var pair needs its names to
-    correspond.  Every free occurrence is reached, so only g1's free names are
-    needed.  A subtree of a λ-tree has no nontrivial stabilizer, so at most
-    one map holds at a node pair: a pair is visited once, and a second map
-    that differs on the node's free names means False.  The stack is three
-    parallel lists, of g1 nodes, g2 nodes and maps, so no pending pair is a
-    tuple that holds a dict and stays tracked by the cyclic collector.
+    g1's names to g2's that holds only the names a λ pair has renamed; every
+    other name maps to itself, so the walk starts from the empty map.  A λ
+    pair maps its binders to each other and fails on capture; a var pair
+    needs its names to correspond.  Every free occurrence is reached, so only
+    g1's free names are needed, and only once a λ pair checks for capture or
+    two different maps meet at one node pair: a pair of graphs without a λ
+    never computes them.  A subtree of a λ-tree has no nontrivial
+    stabilizer, so at most one map holds at a node pair: a pair is visited
+    once, and a second map that differs on the node's free names means
+    False.  The stack is three parallel lists, of g1 nodes, g2 nodes and
+    maps, so no pending pair is a tuple that holds a dict and stays tracked
+    by the cyclic collector.
     """
-    fv1, nodes1, nodes2 = g1.fv_map(), g1.nodes, g2.nodes
+    fv1, nodes1, nodes2 = None, g1.nodes, g2.nodes
     seen: dict[tuple[int, int], dict[Atom, Atom]] = {}
-    todo1, todo2, maps = [g1.root], [g2.root], [{a: a for a in fv1[g1.root]}]
+    todo1, todo2, maps = [g1.root], [g2.root], [{}]
     while todo1:
         n1, n2, rho = todo1.pop(), todo2.pop(), maps.pop()
         pair = n1, n2
         if (old := seen.get(pair)) is not None:
-            if old is not rho and any(old[a] != rho[a] for a in fv1[n1]):
-                return False
+            if old is not rho:
+                fv1 = fv1 or g1.fv_map()
+                if any(old.get(a, a) != rho.get(a, a) for a in fv1[n1]):
+                    return False
             continue
         seen[pair] = rho
         l1, l2 = nodes1[n1], nodes2[n2]
@@ -660,15 +666,16 @@ def alpha_bisim(g1: TermGraph, g2: TermGraph) -> bool:
             maps += rho, rho
         elif kind == "lam":
             x1, b1, x2 = l1[1], l1[2], l2[1]
+            fv1 = fv1 or g1.fv_map()
             body = fv1[b1]
-            if any(rho[a] == x2 for a in body if a != x1):
+            if any(rho.get(a, a) == x2 for a in body if a != x1):
                 return False  # a free name would be captured
-            if x1 in body and rho.get(x1) != x2:
+            if x1 in body and rho.get(x1, x1) != x2:
                 rho = {**rho, x1: x2}
             todo1.append(b1)
             todo2.append(l2[2])
             maps.append(rho)
-        elif kind == "var" and rho[l1[1]] != l2[1]:
+        elif kind == "var" and rho.get(l1[1], l1[1]) != l2[1]:
             return False
     return True
 
@@ -705,9 +712,11 @@ def _classes(g: TermGraph, key: Callable[[int], tuple]) -> dict[int, int]:
     then the exit marker None, then its children, last child first; popping
     the marker exits the node below it.  Predecessors are one linked list
     per node, threaded through two flat lists, `pred` and `after`, in the
-    order of the edges.  Only a block of two or more nodes keeps a member
-    set, since a block of one never splits, and a part of one node is a
-    1-tuple, not a list.
+    order of the edges.  Blocks only shrink, and a block of one never
+    splits, so a node seeded alone is never examined and never moves: it
+    records no edge, either end, and is left out of the first round.  Only
+    a block of two or more nodes keeps a member set, and a part of one node
+    is a 1-tuple, not a list.
     """
     nodes = g.nodes
     cls: dict[int, int] = {}
@@ -750,13 +759,14 @@ def _classes(g: TermGraph, key: Callable[[int], tuple]) -> dict[int, int]:
     pred: list[int] = []
     after: list[int] = []
     for n in reversed(infinite):
-        for c in reversed(kids_of[n]):
-            if c in block:
-                after.append(head.get(c, -1))
-                head[c] = len(pred)
-                pred.append(n)
+        if block[n] in multi:
+            for c in reversed(kids_of[n]):
+                if block.get(c) in multi:
+                    after.append(head.get(c, -1))
+                    head[c] = len(pred)
+                    pred.append(n)
     fresh = itertools.count(base + len(seeds))
-    dirty = set(infinite)
+    dirty = {n for n in infinite if block[n] in multi}
     while dirty:
         touched: dict[int, dict[tuple, tuple[int] | list[int]]] = {}
         for n in dirty:

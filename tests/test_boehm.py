@@ -1,5 +1,6 @@
 import gc
 import random
+import signal
 
 import pytest
 from hypothesis import given
@@ -299,6 +300,29 @@ def test_boehm_calls_leave_no_reference_cycles(call):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _time_out(signum, frame):
+    raise TimeoutError("still running after 5 s")
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: head_reduce(t, 8),
+    lambda t: bt_truncate(t, BtBudget()),
+    lambda t: bt_graph(t, BtBudget()),
+], ids=["head_reduce", "bt_truncate", "bt_graph"])
+@pytest.mark.parametrize("src", ["mu r. v0 #r", "\\v1. mu r. v0 #r"])
+def test_boehm_calls_reject_mu_terms(call, src):
+    # a μ head has no spine to reduce: the call raises, as subst_finite does,
+    # and the alarm turns a loop that never ends into a failure
+    old = signal.signal(signal.SIGALRM, _time_out)
+    signal.alarm(5)
+    try:
+        with pytest.raises(TypeError, match="not a finite term"):
+            call(parse_term(src))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 # ---------------------------------------------------------------------------

@@ -699,6 +699,29 @@ def test_alpha_bisim_agrees_with_fixpoint():
     assert 0.2 < sum(answers) / len(answers) < 0.8
 
 
+def _lambda_free(g: TermGraph) -> TermGraph:
+    """g with every λ node turned into an application of its body to itself."""
+    return TermGraph({n: ("app", l[2], l[2]) if l[0] == "lam" else l
+                      for n, l in g.nodes.items()}, g.root)
+
+
+def test_alpha_bisim_agrees_with_fixpoint_without_binders():
+    # with no λ, alpha_bisim never reads a free name: every pair is checked
+    # under the empty map, against the oracle's injections on free names
+    rng = random.Random(101)
+    answers = []
+    for _ in range(3_000):
+        g = _lambda_free(random_term_graph(rng, max_nodes=8))
+        p = random_perm(rng, range(4))
+        pool = [g, glued(g), g.act(p), glued(g).act(p), _relabeled(rng, g, {}),
+                _lambda_free(random_term_graph(rng, max_nodes=8))]
+        a, b = rng.choice(pool), rng.choice(pool)
+        want = alpha_bisim_by_fixpoint(a, b)
+        assert alpha_bisim(a, b) == want, (a.nodes, a.root, b.nodes, b.root)
+        answers.append(want)
+    assert 0.2 < sum(answers) / len(answers) < 0.8
+
+
 @pytest.mark.parametrize("s, t, want", [
     (r"\v0. \v1. v0", r"\v0. \v0. v0", False),  # the inner binder captures v0
     ("_|_", "_|_", True),
@@ -895,10 +918,21 @@ def test_graph_core_scales_to_10k_nodes():
     chain, ring = _chain(10_000), _ring(5_000)
     assert subtree_count(chain) == len(minimize(chain).nodes) == 10_000
     assert subtree_count(ring) == len(minimize(ring).nodes) == 5_002
-    # one call each way: on the ring, the fv_map inside each call takes seconds,
-    # since its sweeps carry a name one ring node further per sweep
+    # one call each way; neither graph has a λ, so neither call computes the
+    # ring's fv_map, whose sweeps carry a name one ring node further per sweep
     rng = random.Random(89)
     for g, leaf in ((chain, 9_999), (ring, 5_001)):
         copy = _relabeled(rng, g, {})
         assert alpha_bisim(copy, g)
         assert not alpha_bisim(TermGraph({**g.nodes, leaf: ("var", Atom(2))}, g.root), copy)
+
+
+def test_alpha_bisim_computes_no_fv_map_without_binders(monkeypatch):
+    calls = []
+    fv_map = TermGraph.fv_map
+    monkeypatch.setattr(TermGraph, "fv_map", lambda g: calls.append(g) or fv_map(g))
+    rng = random.Random(103)
+    for g in (gen_rsigma(3), _chain(200), _ring(100)):
+        copy = _relabeled(rng, g, {})
+        assert alpha_bisim(g, copy) and alpha_bisim(copy, g)
+    assert calls == []
