@@ -10,7 +10,6 @@ from ratlam import (
     gen_rsigma,
     graph_of,
     graph_to_coalgebra,
-    instantiate,
     orbit_count,
     parse_term,
     print_coalgebra,
@@ -27,19 +26,18 @@ def main():
     sym, root = gen_pair()
     print("pair coalgebra:")
     print(print_coalgebra(sym))
-    conc = instantiate(sym)
-    full = c_construct(conc, root, sym.carrier)
-    reach = c_construct(conc, root)
+    full = c_construct(sym, root, sym.carrier)
+    reach = c_construct(sym, root)
     print(f"root {root} materializes to: {print_graph(reach)}")
     print(f"enumerated carrier: {len(full.nodes)} nodes "
-          f"(bound {size_bound(2, conc.support_bound)}), "
+          f"(bound {size_bound(2, sym.support_bound)}), "
           f"reachable part: {len(reach.nodes)} nodes")
     print()
 
     # Any term graph can be presented as a coalgebra and rebuilt.
     g = graph_of(parse_term("mu a. \\v0. mu b. \\v1. #a #b"))
     sym2, root2 = graph_to_coalgebra(g)
-    back = c_construct(instantiate(sym2), root2)
+    back = c_construct(sym2, root2)
     print(f"roundtrip of {print_graph(g)}:")
     print(f"  {len(sym2.carrier.schemas)} orbits, rebuilt as {print_graph(back)}")
     print(f"  alpha-equivalent to the original: {alpha_bisim(g, back)}")

@@ -41,7 +41,6 @@ from .terms import (
 )
 from .coalgebra import (
     FRESH,
-    ConcreteCoalgebra,
     EscapesCarrier,
     InvalidCoalgebra,
     SupportTooLarge,

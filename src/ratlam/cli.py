@@ -14,7 +14,6 @@ from .coalgebra import (
     c_construct,
     gen_pair,
     gen_rsigma,
-    instantiate,
     parse_coalgebra,
     parse_root,
     print_coalgebra,
@@ -181,9 +180,11 @@ def run(argv, out=None) -> int:
                 v = interner.atom(args.var)
                 g1 = _graph(args.term1, interner)
                 g2 = _graph(args.term2, interner)
-                if ("bot",) in {*g1.nodes.values(), *g2.nodes.values()}:
+                try:
+                    g = subst_rational(g1, v, g2)
+                except ValueError:
                     raise CliError("subst needs terms without ⊥")
-                print(print_graph(subst_rational(g1, v, g2)), file=out)
+                print(print_graph(g), file=out)
             case "bt":
                 t = _parse_finite(args.term, interner)
                 budget = _budget(fuel=args.fuel, depth=args.depth)
@@ -197,13 +198,12 @@ def run(argv, out=None) -> int:
                 try:
                     sym = parse_coalgebra(_read_source(args.coalgfile))
                     root = parse_root(args.root, sym)
-                    conc = instantiate(sym)
-                    g = c_construct(conc, root, sym.carrier)
+                    g = c_construct(sym, root, sym.carrier)
                 except ValueError as e:
                     raise CliError(f"invalid coalgebra: {e}")
                 n = len(sym.carrier.schemas)
                 print(print_graph(g), file=out)
-                print(f"nodes={len(g.nodes)} bound={size_bound(n, conc.support_bound)}", file=out)
+                print(f"nodes={len(g.nodes)} bound={size_bound(n, sym.support_bound)}", file=out)
             case "examples":
                 _examples(args.name, out)
             case "bench":

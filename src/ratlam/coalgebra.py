@@ -5,9 +5,8 @@ step view, a λ-tree label over its slots, read once into a function of an
 atom tuple whose children are keys `(schema id, canonical atom tuple)`.
 `c_construct` is `terms.unfold` over these keys on a name pool of size m+1:
 a finite term graph that unfolds to the represented rational λ-tree.
-Instantiating wraps the keys as elements, for a concrete coalgebra whose
-step is a term-graph label with elements in place of node ids:
-`("var", a)`, `("lam", v, elem)` or `("app", l, r)`.
+`instantiate` returns the coalgebra itself; it remains because the
+benchmark in `perfbench/` passes its result to `c_construct`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from math import factorial
 from operator import itemgetter
 from typing import Callable
 
-from .nominal import Atom, fresh_atom, fresh_atoms
+from .nominal import Atom, fresh_atoms
 from .orbits import (
     OrbitElement,
     OrbitSchema,
@@ -45,31 +44,18 @@ class SymbolicCoalgebra:
     target, a slot of the orbit, or FRESH for the λ's binder.
 
     The steps are checked when the coalgebra is built, and each orbit's step
-    function is kept for `instantiate` and `c_construct`.
+    function is kept for `c_construct`.  `support_bound` is the largest
+    arity, which bounds the support of every element.
     """
 
     carrier: OrbitSet
     steps: dict[str, tuple]
+    support_bound: int = field(init=False, repr=False, compare=False)
     _step_fns: dict[str, Callable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "support_bound", max((s.arity for s in self.carrier), default=0))
         object.__setattr__(self, "_step_fns", _steps(self))
-
-
-@dataclass
-class ConcreteCoalgebra:
-    """A total step function on elements, with a bound on support sizes.
-
-    A step is a term-graph label with elements where a graph has node ids:
-    `("var", a)`, `("lam", v, elem)` or `("app", l, r)`.  `origin` is the
-    symbolic coalgebra `instantiate` built it from, if any; `c_construct`
-    reads the steps from there, so a coalgebra built by hand, without one,
-    serves only as a step function.
-    """
-
-    step_fn: Callable
-    support_bound: int
-    origin: SymbolicCoalgebra | None = field(default=None, repr=False)
 
 
 class InvalidCoalgebra(ValueError):
@@ -89,7 +75,7 @@ class EscapesCarrier(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Validation and instantiation
+# Validation
 
 
 def _check_target(c: SymbolicCoalgebra, schema: OrbitSchema, target: tuple,
@@ -129,13 +115,9 @@ def _step_fn(c: SymbolicCoalgebra, schema: OrbitSchema) -> Callable:
     """The schema's step view, checked for shape and slots, as a function
     `step(t, pool, child)` of a concrete atom tuple t, with the target orbits
     looked up once.  Each child is `child` of a key `(schema id, canonical
-    atom tuple)`.  A λ binds the least name of `pool` outside t, or with
-    `pool` None its slot's atom or else the least fresh one.
-
-    The binder v is a slot's atom or else fresh for t, and the new binder w
-    is not in t, so renaming v to w on the body puts w wherever v was and
-    leaves t's other atoms alone: the body reads w at position k = |t| of
-    t + (w,)."""
+    atom tuple)`.  A λ binds the least name w of `pool` outside t, and its
+    body reads w at position k = |t| of t + (w,), wherever the view names
+    the binder: its slot, or FRESH."""
     # a slot is a plain int: an Atom is an int, but not a slot
     match c.steps[schema.id]:
         case ("var", src) if type(src) is int:
@@ -160,10 +142,7 @@ def _step_fn(c: SymbolicCoalgebra, schema: OrbitSchema) -> Callable:
             bid, body = bs.id, _picker(bs, [k if s is FRESH or s == b else s for s in slots])
 
             def lam(t, pool, child):
-                if pool is not None:
-                    v = min(pool.difference(t))
-                else:
-                    v = fresh_atom(t) if b is FRESH else t[b]
+                v = min(pool.difference(t))
                 return ("lam", v, child((bid, body(t + (v,)))))
 
             return lam
@@ -211,19 +190,11 @@ def _steps(c: SymbolicCoalgebra) -> dict[str, Callable]:
     return steps
 
 
-def instantiate(c: SymbolicCoalgebra) -> ConcreteCoalgebra:
-    """The concrete coalgebra of `c`, on the step functions kept when it was
-    built, each child key wrapped as an element."""
-    steps, carrier = c._step_fns, c.carrier
-    m = max((s.arity for s in c.carrier), default=0)
-
-    def element(key):
-        return OrbitElement(carrier[key[0]], key[1])
-
-    def step_fn(e):
-        return steps[e.schema.id](e.atoms, None, element)
-
-    return ConcreteCoalgebra(step_fn, m, c)
+def instantiate(c: SymbolicCoalgebra) -> SymbolicCoalgebra:
+    """`c` itself, which `c_construct` reads.  It remains for the callers in
+    `perfbench/`, which pass its result to `c_construct` and read its
+    `support_bound`."""
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -235,26 +206,24 @@ def size_bound(n: int, m: int) -> int:
     return n * factorial(m + 1)
 
 
-def c_construct(conc: ConcreteCoalgebra, root, carrier: OrbitSet | None = None) -> TermGraph:
+def c_construct(c: SymbolicCoalgebra, root, carrier: OrbitSet | None = None) -> TermGraph:
     """Materialize the behavior of an element as a finite term graph.
 
-    `conc` must be a coalgebra that `instantiate` built.  The name pool W is
-    the support of the root padded with least fresh atoms to m+1 names, so
-    every element has some name in W fresh for it.  The graph is `unfold`
-    over keys `(schema id, canonical atom tuple)` over W, each labelled by
-    its orbit's step on that tuple, with a λ binding W's least name outside
-    the tuple.  With a carrier given, which must be the coalgebra's own, the
+    With m the support bound of `c`, the name pool W is the support of the
+    root padded with least fresh atoms to m+1 names, so every element has
+    some name in W fresh for it.  The graph is `unfold` over keys
+    `(schema id, canonical atom tuple)` over W, each labelled by its orbit's
+    step on that tuple, with a λ binding W's least name outside the tuple.
+    With a carrier given, which must be the coalgebra's own, the
     states are every such key, numbered first by orbit in carrier order and
     then by tuple; without one, they are the keys reachable from the root,
     numbered breadth first.
     """
-    m = conc.support_bound
+    m = c.support_bound
     if len(root.support()) > m:
         raise SupportTooLarge(root)
-    c = conc.origin
-    if c is None or carrier is not None and carrier != c.carrier:
-        raise ValueError("c_construct needs the carrier of the symbolic coalgebra "
-                         "that instantiate built the coalgebra from")
+    if carrier is not None and carrier != c.carrier:
+        raise ValueError("c_construct needs the carrier of the coalgebra it reads")
     sid = root.schema.id
     if sid not in c.carrier or c.carrier[sid] != root.schema:
         raise EscapesCarrier(root)

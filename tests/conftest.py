@@ -5,6 +5,7 @@ import random
 import re
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from hypothesis import strategies as st
 
@@ -14,7 +15,6 @@ from ratlam import (
     BOT,
     Bot,
     BottomVerdict,
-    ConcreteCoalgebra,
     EscapesCarrier,
     FRESH,
     Interner,
@@ -39,7 +39,6 @@ from ratlam import (
     fresh_atoms,
     graph_to_coalgebra,
     head_reduce,
-    instantiate,
     print_term,
     swap,
 )
@@ -574,7 +573,45 @@ def alpha_eq_finite(t1: FiniteTerm, t2: FiniteTerm) -> bool:
 # ---------------------------------------------------------------------------
 # Unfolding oracles: μ-terms by substituting Mu bodies for refs (for graph_of +
 # truncate), coalgebras with globally fresh binder names (for c_construct), and
-# the element-by-element construction in both modes of c_construct.
+# the element-by-element construction in both modes of c_construct.  The two
+# coalgebra oracles take their steps from `concrete`, which reads the step
+# views and shares no code with c_construct's compiled step functions.
+
+
+@dataclass
+class ConcreteCoalgebra:
+    """A total step function on elements, with a bound on support sizes.
+
+    A step is a term-graph label with elements where a graph has node ids:
+    `("var", a)`, `("lam", v, elem)` or `("app", l, r)`."""
+
+    step_fn: Callable
+    support_bound: int
+
+
+def concrete(sym: SymbolicCoalgebra) -> ConcreteCoalgebra:
+    """The structure map of sym on elements, read from its step views: an
+    element's slots are its atom tuple as given, and a λ binds its slot's
+    atom, or for FRESH the least atom fresh for the tuple."""
+    carrier = sym.carrier
+
+    def target(atoms, view, binder=None):
+        sid, assignment = view
+        return OrbitElement(carrier[sid],
+                            tuple(binder if s is FRESH else atoms[s] for s in assignment))
+
+    def step_fn(e):
+        atoms = e.atoms
+        match sym.steps[e.schema.id]:
+            case ("var", s):
+                return ("var", atoms[s])
+            case ("app", left, right):
+                return ("app", target(atoms, left), target(atoms, right))
+            case ("lam", b, body):
+                v = fresh_atom(atoms) if b is FRESH else atoms[b]
+                return ("lam", v, target(atoms, body, v))
+
+    return ConcreteCoalgebra(step_fn, sym.support_bound)
 
 
 def unfold_muterm(t: MuTerm, depth: int) -> FiniteTerm:
@@ -743,7 +780,7 @@ def substitution_states(t: TermGraph, v: Atom, s: TermGraph, pad_a: int = 0, pad
         sym_a = padded(sym_a, pad_a)
     if pad_b:
         sym_b = padded(sym_b, pad_b)
-    return subst_coalgebra(instantiate(sym_a), instantiate(sym_b)), InTriple(root_a, v, root_b)
+    return subst_coalgebra(concrete(sym_a), concrete(sym_b)), InTriple(root_a, v, root_b)
 
 
 def subst_by_coalgebra(t: TermGraph, v: Atom, s: TermGraph, pad_a: int = 0,

@@ -27,7 +27,6 @@ from ratlam import (
     gen_u,
     graph_of,
     graph_to_coalgebra,
-    instantiate,
     orbit_count,
     parse_term,
     rsigma_count,
@@ -43,6 +42,7 @@ from ratlam.nominal import IDENTITY
 from conftest import (
     CORPUS,
     alpha_eq_finite,
+    concrete,
     naive_unfold,
     random_perm,
     random_symbolic_coalgebra,
@@ -102,16 +102,15 @@ def test_1_permutation_family_subtree_and_orbit_counts():
 def test_2_node_count_bound():
     failures = []
     sym, root = gen_pair()
-    g = c_construct(instantiate(sym), root, sym.carrier)
+    g = c_construct(sym, root, sym.carrier)
     if not (len(g.nodes) == 9 <= size_bound(2, 2)):
         failures.append(f"pair example gave {len(g.nodes)} nodes")
     checked = 0
     for seed in range(40):
         sym, root = random_symbolic_coalgebra(random.Random(seed))
-        conc = instantiate(sym)
-        g = c_construct(conc, root, sym.carrier)
+        g = c_construct(sym, root, sym.carrier)
         n = len(sym.carrier.schemas)
-        if len(g.nodes) > size_bound(n, conc.support_bound):
+        if len(g.nodes) > size_bound(n, sym.support_bound):
             failures.append(f"seed {seed}: {len(g.nodes)} > bound")
         checked += 1
     ok = not failures and checked >= 20
@@ -126,11 +125,10 @@ def test_3_construction_matches_naive_unfolding():
     mismatches = 0
     total = 0
     for sym, root in _coalgebra_corpus():
-        conc = instantiate(sym)
-        g = c_construct(conc, root, sym.carrier)
+        g = c_construct(sym, root, sym.carrier)
         for d in range(11):
             total += 1
-            if not alpha_eq_finite(truncate(g, d), naive_unfold(conc, root, d)):
+            if not alpha_eq_finite(truncate(g, d), naive_unfold(concrete(sym), root, d)):
                 mismatches += 1
     _verdict(
         "finite construction agrees with fresh-name unfolding at depths 0..10",
@@ -144,7 +142,7 @@ def test_4_graph_coalgebra_roundtrip():
     for src in CORPUS:
         g = graph_of(parse_term(src))
         sym, root = graph_to_coalgebra(g)
-        back = c_construct(instantiate(sym), root)
+        back = c_construct(sym, root)
         if not alpha_bisim(g, back):
             mismatches.append(src)
     ok = not mismatches and len(CORPUS) >= 30

@@ -120,6 +120,13 @@ def test_subst():
     assert text == "mu r0. v1 #r0\n"
 
 
+@pytest.mark.parametrize("term1, term2", [("mu r. v0 (_|_ #r)", "v1"), ("v2", "_|_")])
+def test_subst_rejects_bottom(term1, term2, capsys):
+    # a ⊥ in either term, whether or not the variable occurs
+    assert _run(["subst", "-v", "v0", term1, term2]) == (2, "")
+    assert capsys.readouterr().err == "error: subst needs terms without ⊥\n"
+
+
 def test_bt():
     code, text = _run(["bt", "-d", "4", r"(\x. x x) (\x. x x)"])
     assert code == 0

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +10,6 @@ from ratlam import (
     App,
     Atom,
     BOT,
-    ConcreteCoalgebra,
     EscapesCarrier,
     FRESH,
     InvalidCoalgebra,
@@ -28,7 +28,6 @@ from ratlam import (
     gen_rsigma,
     graph_of,
     graph_to_coalgebra,
-    instantiate,
     orbit_count,
     parse_coalgebra,
     parse_root,
@@ -46,9 +45,11 @@ from ratlam.coalgebra import _classes, _free_orders, _orbit_classes
 
 from conftest import (
     CORPUS,
+    ConcreteCoalgebra,
     _same_orbit_by_search,
     alpha_eq_finite,
     c_construct_by_elements,
+    concrete,
     free_order_by_search,
     glued,
     naive_unfold,
@@ -118,7 +119,8 @@ def test_validate_rejects_binder_slot_and_fresh_in_one_body():
                                              "b": ("app", ("a", (0,)), ("a", (1,)))})
     # FRESH without the binder's slot names the binder once: the same as the slot
     sym = SymbolicCoalgebra(OrbitSet((a,)), {"a": ("lam", 0, ("a", (FRESH,)))})
-    assert instantiate(sym).step_fn(OrbitElement(a, (Atom(3),)))[:2] == ("lam", Atom(3))
+    g = c_construct(sym, OrbitElement(a, (Atom(3),)))
+    assert truncate(g, 3) == Lam(Atom(0), Lam(Atom(3), Lam(Atom(0), BOT)))
 
 
 @pytest.mark.parametrize("view", [
@@ -177,12 +179,12 @@ def test_trivial_stabilizer_runs_no_step(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Instantiation
+# The concrete structure map of the test oracles
 
 
 def test_instantiate_pair_steps():
     sym, root = gen_pair()
-    conc = instantiate(sym)
+    conc = concrete(sym)
     kind, left, right = conc.step_fn(root)
     assert kind == "app"
     assert left.atoms == (Atom(0),)
@@ -198,13 +200,12 @@ def test_instantiate_fresh_binder_is_least_fresh():
         OrbitSet((o0, o1)),
         {"o0": ("lam", FRESH, ("o1", (FRESH,))), "o1": ("var", 0)},
     )
-    conc = instantiate(sym)
-    kind, binder, body = conc.step_fn(OrbitElement(o0, ()))
+    kind, binder, body = concrete(sym).step_fn(OrbitElement(o0, ()))
     assert kind == "lam"
     assert binder == Atom(0)
     assert body.atoms == (Atom(0),)
     # the whole thing unfolds to the identity function
-    g = c_construct(conc, OrbitElement(o0, ()), sym.carrier)
+    g = c_construct(sym, OrbitElement(o0, ()), sym.carrier)
     assert alpha_bisim(g, graph_of(parse_term(r"\x. x")))
 
 
@@ -220,13 +221,12 @@ def test_size_bound_values():
 
 def test_pair_construction():
     sym, root = gen_pair()
-    conc = instantiate(sym)
-    g = c_construct(conc, root, sym.carrier)
+    g = c_construct(sym, root, sym.carrier)
     assert len(g.nodes) == 9
     assert len(g.nodes) <= size_bound(2, 2)
     assert subtree_count(g) == 3
     assert truncate(g, 2) == parse_term("v0 v1")
-    reach = c_construct(conc, root)
+    reach = c_construct(sym, root)
     assert len(reach.nodes) == 3
     assert alpha_bisim(g, reach)
 
@@ -234,7 +234,7 @@ def test_pair_construction():
 def test_self_loop_application():
     o = OrbitSchema("o", 0)
     sym = _single(o, ("app", ("o", ()), ("o", ())))
-    g = c_construct(instantiate(sym), OrbitElement(o, ()), sym.carrier)
+    g = c_construct(sym, OrbitElement(o, ()), sym.carrier)
     assert len(g.nodes) == 1
     assert g.nodes[g.root] == ("app", g.root, g.root)
 
@@ -242,17 +242,19 @@ def test_self_loop_application():
 def test_binder_reuse_tower():
     o = OrbitSchema("o", 0)
     sym = _single(o, ("lam", FRESH, ("o", ())))
-    g = c_construct(instantiate(sym), OrbitElement(o, ()), sym.carrier)
+    g = c_construct(sym, OrbitElement(o, ()), sym.carrier)
     assert len(g.nodes) == 1
     v0 = Atom(0)
     assert truncate(g, 3) == Lam(v0, Lam(v0, Lam(v0, BOT)))
 
 
 def test_support_too_large():
-    o = OrbitSchema("o", 2)
-    conc = ConcreteCoalgebra(lambda e: ("var", e.atoms[0]), support_bound=1)
-    with pytest.raises(SupportTooLarge):
-        c_construct(conc, OrbitElement(o, (Atom(0), Atom(1))))
+    # a root wider than every orbit is rejected before the carrier is read
+    sym = _single(OrbitSchema("o", 1), ("var", 0))
+    wide = OrbitElement(OrbitSchema("o", 2), (Atom(0), Atom(1)))
+    for carrier in (sym.carrier, None):
+        with pytest.raises(SupportTooLarge):
+            c_construct(sym, wide, carrier)
 
 
 def test_reach_mode_rejects_a_step_target_over_the_support_bound():
@@ -265,49 +267,36 @@ def test_reach_mode_rejects_a_step_target_over_the_support_bound():
         c_construct_by_elements(conc, OrbitElement(o, (a,)))
 
 
-def test_reach_mode_needs_an_instantiated_coalgebra():
-    # c_construct reads the symbolic steps, which a hand-built coalgebra lacks
+def test_escapes_carrier():
+    # the oracle unfolds a hand-built step, which could leave the carrier
     o = OrbitSchema("o", 1)
     conc = ConcreteCoalgebra(lambda e: ("var", e.atoms[0]), support_bound=1)
-    with pytest.raises(ValueError, match="needs the carrier") as info:
-        c_construct(conc, OrbitElement(o, (Atom(0),)))
-    assert type(info.value) is ValueError
     assert c_construct_by_elements(conc, OrbitElement(o, (Atom(0),))).nodes == {0: ("var", Atom(0))}
-
-
-def test_escapes_carrier():
-    # a hand-built step could leave the carrier, so it has no enumerative mode
-    o = OrbitSchema("o", 1)
     stray = OrbitElement(o, (Atom(9),))
     conc = ConcreteCoalgebra(lambda e: ("app", stray, stray), support_bound=1)
-    with pytest.raises(ValueError, match="needs the carrier") as info:
-        c_construct(conc, OrbitElement(o, (Atom(0),)), OrbitSet((o,)))
-    assert type(info.value) is ValueError
     with pytest.raises(EscapesCarrier):
         c_construct_by_elements(conc, OrbitElement(o, (Atom(0),)), OrbitSet((o,)))
 
 
 def test_enumerative_mode_needs_the_coalgebras_own_carrier():
     sym, root = gen_pair()
-    conc = instantiate(sym)
     other = OrbitSet((*sym.carrier.schemas, OrbitSchema("extra", 1)))
     with pytest.raises(ValueError, match="needs the carrier") as info:
-        c_construct(conc, root, other)
+        c_construct(sym, root, other)
     assert type(info.value) is ValueError
     # an equal carrier built apart is the coalgebra's own
     same = OrbitSet(tuple(OrbitSchema(s.id, s.arity) for s in sym.carrier))
-    assert c_construct(conc, root, same).nodes == c_construct(conc, root, sym.carrier).nodes
+    assert c_construct(sym, root, same).nodes == c_construct(sym, root, sym.carrier).nodes
 
 
 def test_enumerative_root_outside_the_carrier():
     sym, _ = gen_pair()
-    conc = instantiate(sym)
     # an undeclared orbit, and a declared orbit's id at the wrong arity, in both modes
     for stray in (OrbitElement(OrbitSchema("stray", 1), (Atom(0),)),
                   OrbitElement(OrbitSchema("pair", 1), (Atom(0),))):
         for carrier in (sym.carrier, None):
             with pytest.raises(EscapesCarrier) as info:
-                c_construct(conc, stray, carrier)
+                c_construct(sym, stray, carrier)
             assert info.value.elem is stray
 
 
@@ -346,9 +335,9 @@ def _differential_cases():
 def test_enumerative_mode_agrees_with_the_element_construction():
     stabilized = slot_binders = 0
     for name, sym, root in _differential_cases():
-        conc = instantiate(sym)
+        conc = concrete(sym)
         for carrier in (sym.carrier, None):
-            g = c_construct(conc, root, carrier)
+            g = c_construct(sym, root, carrier)
             want = c_construct_by_elements(conc, root, carrier)
             assert list(g.nodes.items()) == list(want.nodes.items()), (name, carrier)
             assert g.root == want.root, (name, carrier)
@@ -356,6 +345,25 @@ def test_enumerative_mode_agrees_with_the_element_construction():
         slot_binders += any(v[0] == "lam" and v[1] is not FRESH for v in sym.steps.values())
     assert stabilized == 40
     assert slot_binders >= 10
+
+
+def test_the_oracles_share_no_step_code_with_c_construct(monkeypatch):
+    # a fault in the compiled step functions: an application whose targets
+    # lie in one orbit reads its left slots twice, as pair(v0,v1) -> v0 v0
+    step_fn = coalgebra._step_fn
+
+    def left_twice(c, schema):
+        match c.steps[schema.id]:
+            case ("app", left, (sid, _)) if sid == left[0]:
+                c = SimpleNamespace(carrier=c.carrier, steps={schema.id: ("app", left, left)})
+        return step_fn(c, schema)
+
+    monkeypatch.setattr(coalgebra, "_step_fn", left_twice)
+    sym, root = gen_pair()
+    for carrier in (sym.carrier, None):
+        g = c_construct(sym, root, carrier)
+        assert g.nodes != c_construct_by_elements(concrete(sym), root, carrier).nodes
+    assert not alpha_eq_finite(truncate(g, 2), naive_unfold(concrete(sym), root, 2))
 
 
 def test_rejects_a_step_that_is_not_a_label():
@@ -373,15 +381,14 @@ _SUBST_CASE = (graph_of(parse_term("mu r. \\v0. v0 (v1 #r)")), Atom(1),
 def test_exact_outputs():
     a0, a1, a2, a3 = (Atom(i) for i in range(4))
     sym, root = gen_pair()
-    conc = instantiate(sym)
-    g = c_construct(conc, root, sym.carrier)
+    g = c_construct(sym, root, sym.carrier)
     assert g.nodes == {
         0: ("var", a0), 1: ("var", a1), 2: ("var", a2),
         3: ("app", 0, 1), 4: ("app", 0, 2), 5: ("app", 1, 0),
         6: ("app", 1, 2), 7: ("app", 2, 0), 8: ("app", 2, 1),
     }
     assert g.root == 3
-    g = c_construct(conc, root)
+    g = c_construct(sym, root)
     assert g.nodes == {0: ("app", 1, 2), 1: ("var", a0), 2: ("var", a1)}
     assert g.root == 0
     g = subst_rational(*_SUBST_CASE)  # so the binder is renamed to v3
@@ -395,17 +402,15 @@ def test_exact_outputs():
 def test_construction_agrees_with_naive_unfolding():
     corpus = [gen_pair(), *(random_symbolic_coalgebra(random.Random(s)) for s in range(5))]
     for sym, root in corpus:
-        conc = instantiate(sym)
-        g = c_construct(conc, root, sym.carrier)
+        g = c_construct(sym, root, sym.carrier)
         for d in range(11):
-            assert alpha_eq_finite(truncate(g, d), naive_unfold(conc, root, d))
+            assert alpha_eq_finite(truncate(g, d), naive_unfold(concrete(sym), root, d))
 
 
 def test_reachable_and_enumerative_modes_agree():
     for seed in range(8):
         sym, root = random_symbolic_coalgebra(random.Random(100 + seed))
-        conc = instantiate(sym)
-        assert alpha_bisim(c_construct(conc, root, sym.carrier), c_construct(conc, root))
+        assert alpha_bisim(c_construct(sym, root, sym.carrier), c_construct(sym, root))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +451,7 @@ def test_roundtrip_on_sample():
     for src in CORPUS[:10]:
         g = graph_of(parse_term(src))
         sym, root = graph_to_coalgebra(g)
-        back = c_construct(instantiate(sym), root)
+        back = c_construct(sym, root)
         assert alpha_bisim(g, back)
 
 
@@ -466,7 +471,7 @@ def test_rsigma_counts_small():
 
 def _construct_pair(enumerative: bool):
     sym, root = gen_pair()
-    return c_construct(instantiate(sym), root, sym.carrier if enumerative else None)
+    return c_construct(sym, root, sym.carrier if enumerative else None)
 
 
 @pytest.mark.parametrize("call", [
@@ -669,7 +674,7 @@ def test_parse_coalgebra_text():
     commented = parse_coalgebra("# a pair of variables\n\n" + PAIR_TEXT.replace("\n", "\n  \n", 1))
     assert commented.steps == sym.steps and commented.carrier == sym.carrier
     root = parse_root("pair(v0,v1)", sym)
-    g = c_construct(instantiate(sym), root, sym.carrier)
+    g = c_construct(sym, root, sym.carrier)
     assert len(g.nodes) == 9
 
 

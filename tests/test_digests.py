@@ -32,7 +32,6 @@ from ratlam import (
     graph_of,
     graph_to_coalgebra,
     head_reduce,
-    instantiate,
     minimize,
     orbit_count,
     parse_term,
@@ -72,7 +71,7 @@ def _coalgebra_outputs():
 
 
 def _construct(sym, root, enumerative: bool) -> str:
-    g = c_construct(instantiate(sym), root, sym.carrier if enumerative else None)
+    g = c_construct(sym, root, sym.carrier if enumerative else None)
     return _graph_text(g) + print_graph(g)
 
 

@@ -1,13 +1,17 @@
 """Every name a module of the package imports is used in that module, and
 every top-level function, class and assigned name of the package is read
-somewhere in it."""
+somewhere in it; every name the benchmark traces or calls exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ratlam"
+from ratlam import coalgebra, gen_pair, size_bound
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ratlam"
 TREES = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
 
@@ -65,3 +69,26 @@ def test_module_level_assignments_are_read():
         and target.id not in read
     ]
     assert not unread, f"assigned but never read: {unread}"
+
+
+def test_the_benchmark_finds_every_name_it_uses():
+    # perfbench/spans.py is read, not imported: it imports the benchmark's reference
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    table = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name)}
+    for module in ast.literal_eval(table["MODULES"]):
+        importlib.import_module(f"ratlam.{module}")
+    methods = {ast.literal_eval(k): ast.literal_eval(v)
+               for k, v in zip(table["METHODS"].keys, table["METHODS"].values)}
+    for key in table["TRACED"].keys:
+        home, name = ast.literal_eval(key)
+        owner = importlib.import_module(f"ratlam.{home}")
+        if (home, name) in methods:
+            owner = getattr(owner, methods[home, name])
+        assert callable(getattr(owner, name, None)), f"{home}.{name}"
+    # the call shape of perfbench/workloads.py, and the bound spans.py reads
+    sym, elem = gen_pair()
+    for enumerative in (True, False):
+        conc = coalgebra.instantiate(sym)
+        g = coalgebra.c_construct(conc, elem, sym.carrier if enumerative else None)
+        assert len(g.nodes) <= size_bound(len(sym.carrier.schemas), conc.support_bound)

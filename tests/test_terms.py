@@ -28,7 +28,6 @@ from ratlam import (
     gen_rsigma,
     graph_of,
     graph_to_coalgebra,
-    instantiate,
     minimize,
     parse_term,
     print_graph,
@@ -523,15 +522,14 @@ def test_unfold_keeps_the_ids_of_pre_numbered_states():
 
 _SUBST_T, _SUBST_S = graph_of(parse_term(CORPUS[4])), graph_of(parse_term(CORPUS[6]))
 _COALGEBRA, _ROOT = graph_to_coalgebra(gen_rsigma(2))
-_CONCRETE = instantiate(_COALGEBRA)
 
 
 @pytest.mark.parametrize("call", [
     lambda: unfold(0, _own_step(gen_rsigma(2))),
     lambda: subst_rational(_SUBST_T, Atom(0), _SUBST_S),
     lambda: subst_rational(gen_rsigma(2), Atom(1), _SUBST_S),
-    lambda: c_construct(_CONCRETE, _ROOT),
-    lambda: c_construct(_CONCRETE, _ROOT, _COALGEBRA.carrier),
+    lambda: c_construct(_COALGEBRA, _ROOT),
+    lambda: c_construct(_COALGEBRA, _ROOT, _COALGEBRA.carrier),
 ], ids=["unfold", "subst_rational", "subst_rational-rsigma", "c_construct-reach",
         "c_construct-enum"])
 def test_unfold_calls_leave_no_reference_cycles(call):
